@@ -194,7 +194,10 @@ def cmd_analyze(args) -> int:
         print(f"error: packing invalid ({len(rep['violations'])} overlapping pairs)", file=sys.stderr)
         return 3
     d0p = p.disc.area / (8.0 * max_triangle_area(p.disc))
-    radii = [float(t) for t in str(args.radius).split(",") if t.strip()]
+    try:
+        radii = [float(t) for t in str(args.radius).split(",") if t.strip()]
+    except ValueError as exc:
+        raise BoundsRangeError(f"--radius must be a list of numbers: {exc}") from exc
     if not radii:
         raise BoundsRangeError("analyze needs --radius R[,R2,...]")
     lines = ["R,lambda_hat,density_hat,avg_sides_hat,ratio_hat,bound,slack"]

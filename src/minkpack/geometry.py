@@ -28,7 +28,10 @@ class GeometryError(ValueError):
 
 
 def _vertex_array(p, min_vertices: int = 3) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(p, dtype=float))
+    try:
+        arr = np.atleast_2d(np.asarray(p, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"vertex coordinates must be numbers: {exc}") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GeometryError(f"expected an (n, 2) vertex array, got shape {arr.shape}")
     if arr.shape[0] < min_vertices:

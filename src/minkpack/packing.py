@@ -7,6 +7,16 @@ and the tolerance only absorbs float drift.  Mixed strip constructions
 are calibrated for the equality hexagon family (vertices (+-1,0),
 (+-w,+-1)); the gauge there is max(|x| + (1-w)|y|, |y|), which is what
 all the touch bookkeeping below is derived from.
+
+Each packing gets one contact pass: a cKDTree pair search and one gauge
+evaluation, cached on the packing, from which validate_packing and
+neighbour_graph both read (a valid packing's graph is cached by the
+validation itself).  The subdivision labels its faces as the cycles of
+the half-edge successor permutation and gets every per-face value from
+whole-array reductions, including each face's largest vertex distance
+from the centroid (Subdivision.max_radius), by which measure_stats picks
+the faces inside a window.  scipy is imported on first use, not with the
+package.
 """
 
 from __future__ import annotations
@@ -42,9 +52,14 @@ class Packing:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=float)
+        try:
+            c = np.asarray(self.centers, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(f"centers must be numbers: {exc}") from exc
         if c.ndim != 2 or c.shape[1] != 2 or len(c) == 0:
             raise GeometryError("centers must be a nonempty (n, 2) array")
+        if not np.all(np.isfinite(c)):
+            raise GeometryError("center coordinates must be finite")
         self.centers = c
 
     @property
@@ -61,12 +76,20 @@ class NeighbourGraph:
 
 @dataclass
 class Subdivision:
+    """Faces as vertex rings with per-face sides, areas and boundary flags.
+
+    max_radius is each face's largest vertex distance from the centroid of
+    all the packing's centers; measure_stats keeps a face inside radius R
+    by it.
+    """
+
     faces: list
     sides: np.ndarray
     areas: np.ndarray
     boundary: np.ndarray
     vertex_count: int
     disc: ConvexDisc
+    max_radius: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -82,79 +105,68 @@ class PackingStats:
 # pair enumeration and validation
 
 
-def _pair_candidates(centers: np.ndarray, cutoff: float):
-    """Index pairs (i < j) within Euclidean cutoff, via a uniform grid hash."""
-    n = len(centers)
-    cell = max(cutoff, 1e-9)
-    keys = np.floor(centers / cell).astype(np.int64)
-    buckets: dict = {}
-    for i, (kx, ky) in enumerate(map(tuple, keys)):
-        buckets.setdefault((kx, ky), []).append(i)
-    ii, jj = [], []
-    stencil = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
-    for (kx, ky), idx in buckets.items():
-        a = np.asarray(idx)
-        for dx, dy in stencil:
-            if dx == 0 and dy == 0:
-                if len(a) > 1:
-                    pi, pj = np.triu_indices(len(a), k=1)
-                    ii.append(a[pi])
-                    jj.append(a[pj])
-                continue
-            other = buckets.get((kx + dx, ky + dy))
-            if other is None:
-                continue
-            b = np.asarray(other)
-            gi, gj = np.meshgrid(a, b, indexing="ij")
-            ii.append(gi.ravel())
-            jj.append(gj.ravel())
-    if not ii:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    I = np.concatenate(ii)
-    J = np.concatenate(jj)
-    d = centers[I] - centers[J]
-    keep = (d * d).sum(axis=1) <= cutoff * cutoff
-    return I[keep], J[keep]
+def _close_pairs(points: np.ndarray, cutoff: float) -> np.ndarray:
+    """(m, 2) index pairs i < j of points within Euclidean distance cutoff."""
+    from scipy.spatial import cKDTree  # not at import: it costs more than importing minkpack
+
+    return cKDTree(points).query_pairs(cutoff, output_type="ndarray")
 
 
 def _outer_radius(d: ConvexDisc) -> float:
     return float(np.sqrt((d.vertices**2).sum(axis=1)).max())
 
 
-def validate_packing(p: Packing) -> dict:
-    """Diagnostic report; a packing is valid iff the violation list is empty."""
-    eps = p.touch_eps
+def _contacts(p: Packing):
+    """(I, J, gauge) of every center pair I < J that could touch, sorted by (I, J).
+
+    The one pair search of a packing: validation and the neighbour graph
+    both read it from the cache.
+    """
+    if "contacts" in p._cache:
+        return p._cache["contacts"]
     cutoff = (2.0 + 4.0 * TOUCH_REL) * _outer_radius(p.disc)
-    I, J = _pair_candidates(p.centers, cutoff)
-    out = {"violations": [], "pairs_checked": int(len(I)), "ok": True}
-    if len(I):
-        g = p.disc.gauge_many(p.centers[I] - p.centers[J])
-        bad = np.nonzero(g < 2.0 - eps)[0]
-        out["violations"] = [(int(I[b]), int(J[b]), float(g[b])) for b in bad]
-        out["ok"] = len(bad) == 0
-    return out
+    pairs = _close_pairs(p.centers, cutoff)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    I, J = pairs[:, 0], pairs[:, 1]
+    g = p.disc.gauge_many(p.centers[I] - p.centers[J])
+    p._cache["contacts"] = (I, J, g)
+    return I, J, g
 
 
-def neighbour_graph(p: Packing) -> NeighbourGraph:
-    """Edges between translates at gauge distance 2; raises on overlaps."""
-    if "graph" in p._cache:
-        return p._cache["graph"]
-    eps = p.touch_eps
-    cutoff = (2.0 + 4.0 * TOUCH_REL) * _outer_radius(p.disc)
-    I, J = _pair_candidates(p.centers, cutoff)
-    if len(I):
-        g = p.disc.gauge_many(p.centers[I] - p.centers[J])
-        nbad = int(np.count_nonzero(g < 2.0 - eps))
-        if nbad:
-            raise PackingInvalidError(f"{nbad} overlapping pairs (gauge < 2)")
-        touch = np.abs(g - 2.0) <= eps
-        edges = np.stack([I[touch], J[touch]], axis=1)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+def _touch_graph(p: Packing, I, J, g) -> NeighbourGraph:
+    touch = np.abs(g - 2.0) <= p.touch_eps
+    edges = np.stack([I[touch], J[touch]], axis=1)
     deg = np.bincount(edges.ravel(), minlength=len(p.centers))
     graph = NeighbourGraph(n=len(p.centers), edges=edges, degrees=deg)
     p._cache["graph"] = graph
     return graph
+
+
+def validate_packing(p: Packing) -> dict:
+    """Diagnostic report; a packing is valid iff the violation list is empty.
+
+    A valid packing also gets its neighbour graph cached from the same pass.
+    """
+    I, J, g = _contacts(p)
+    bad = np.nonzero(g < 2.0 - p.touch_eps)[0]
+    if len(bad) == 0 and "graph" not in p._cache:
+        _touch_graph(p, I, J, g)
+    return {
+        "violations": [(int(I[b]), int(J[b]), float(g[b])) for b in bad],
+        "pairs_checked": int(len(I)),
+        "ok": len(bad) == 0,
+    }
+
+
+def neighbour_graph(p: Packing) -> NeighbourGraph:
+    """Edges (i < j, sorted) between translates at gauge distance 2; raises on overlaps."""
+    if "graph" in p._cache:
+        return p._cache["graph"]
+    I, J, g = _contacts(p)
+    nbad = int(np.count_nonzero(g < 2.0 - p.touch_eps))
+    if nbad:
+        raise PackingInvalidError(f"{nbad} overlapping pairs (gauge < 2)")
+    return _touch_graph(p, I, J, g)
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +591,9 @@ def mixed_strip_packing(
     scale = 1.0
     if frame is None:
         # best-effort frame gives no touch guarantees; dilate to validity
-        I, J = _pair_candidates(mapped, (2.0 + 4.0 * TOUCH_REL) * _outer_radius(d))
-        if len(I):
-            gmin = float(d.gauge_many(mapped[I] - mapped[J]).min())
+        pairs = _close_pairs(mapped, (2.0 + 4.0 * TOUCH_REL) * _outer_radius(d))
+        if len(pairs):
+            gmin = float(d.gauge_many(mapped[pairs[:, 0]] - mapped[pairs[:, 1]]).min())
             if gmin < 2.0:
                 scale = 2.0 * (1.0 + 1e-9) / gmin
                 mapped = mapped * scale
@@ -606,33 +618,33 @@ def mixed_strip_packing(
 # subdivision
 
 
-def _crossing_pairs(centers: np.ndarray, edges: np.ndarray, cutoff: float) -> int:
-    """Count proper crossings between touch edges not sharing an endpoint."""
+def _crossing_pairs(centers: np.ndarray, edges: np.ndarray) -> int:
+    """Count proper crossings between edges not sharing an endpoint.
+
+    Two crossing segments have midpoints within half their summed lengths
+    of each other, so a midpoint search out to the longest edge finds
+    every crossing pair.
+    """
     if len(edges) == 0:
         return 0
-    mids = 0.5 * (centers[edges[:, 0]] + centers[edges[:, 1]])
-    I, J = _pair_candidates(mids, cutoff)
-    if len(I) == 0:
-        return 0
-    e1, e2 = edges[I], edges[J]
+    start, end = centers[edges[:, 0]], centers[edges[:, 1]]
+    vec = end - start
+    reach = float(np.hypot(vec[:, 0], vec[:, 1]).max()) * (1.0 + 1e-9)
+    pairs = _close_pairs(0.5 * (start + end), reach)
+    e1, e2 = edges[pairs[:, 0]], edges[pairs[:, 1]]
     share = (
         (e1[:, 0] == e2[:, 0])
         | (e1[:, 0] == e2[:, 1])
         | (e1[:, 1] == e2[:, 0])
         | (e1[:, 1] == e2[:, 1])
     )
-    I, J = I[~share], J[~share]
-    if len(I) == 0:
-        return 0
-    a = centers[edges[I, 0]]
-    b = centers[edges[I, 1]]
-    c = centers[edges[J, 0]]
-    dd = centers[edges[J, 1]]
+    I, J = pairs[~share, 0], pairs[~share, 1]
+    a, b, c, dd = start[I], end[I], start[J], end[J]
 
     def orient(p, q, r):
         return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
 
-    scale = np.abs(b - a).max() + np.abs(dd - c).max() + 1.0
+    scale = 2.0 * np.abs(vec).max() + 1.0
     eps = 1e-12 * scale * scale
     o1 = orient(a, b, c)
     o2 = orient(a, b, dd)
@@ -640,6 +652,47 @@ def _crossing_pairs(centers: np.ndarray, edges: np.ndarray, cutoff: float) -> in
     o4 = orient(c, dd, b)
     proper = (o1 * o2 < -eps) & (o3 * o4 < -eps)
     return int(np.count_nonzero(proper))
+
+
+def _face_cycles(nxt: np.ndarray):
+    """The cycles of the half-edge permutation nxt, one per face.
+
+    Returns (label, seq, offsets): the face of each half-edge, the
+    half-edges listed face by face (each face from its smallest half-edge
+    on, following nxt), and where each face starts in seq, plus the total.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    nd = len(nxt)
+    h = np.arange(nd)
+    nf, label = connected_components(
+        csr_matrix((np.ones(nd, dtype=np.int8), (h, nxt)), shape=(nd, nd)),
+        directed=True,
+        connection="weak",
+    )
+    sides = np.bincount(label, minlength=nf)
+    offsets = np.concatenate([[0], np.cumsum(sides)])
+    first = np.full(nf, nd)
+    np.minimum.at(first, label, h)
+    # cut each cycle before its first half-edge, then rank by pointer
+    # jumping: left[h] counts the steps from h to the end of its face
+    prev = np.empty_like(nxt)
+    prev[nxt] = h
+    last = prev[first]
+    succ = nxt.copy()
+    succ[last] = last
+    left = np.ones(nd, dtype=np.int64)
+    left[last] = 0
+    while True:
+        jump = succ[succ]
+        if np.array_equal(jump, succ):
+            break
+        left += left[succ]
+        succ = jump
+    seq = np.empty(nd, dtype=np.int64)
+    seq[offsets[label] + sides[label] - 1 - left] = h
+    return label, seq, offsets
 
 
 def build_subdivision(p: Packing, window: float | None = None) -> Subdivision:
@@ -667,7 +720,7 @@ def build_subdivision(p: Packing, window: float | None = None) -> Subdivision:
     emask = (insel[g.edges[:, 0]] >= 0) & (insel[g.edges[:, 1]] >= 0)
     edges = insel[g.edges[emask]]
     pts = centers[sel]
-    ncross = _crossing_pairs(pts, edges, 4.0 * _outer_radius(p.disc))
+    ncross = _crossing_pairs(pts, edges)
     if ncross:
         raise PackingInvalidError(f"{ncross} crossing touch-edge pairs in the subdivision")
 
@@ -689,37 +742,27 @@ def build_subdivision(p: Packing, window: float | None = None) -> Subdivision:
     k = pos_in_ring[twin]
     nxt = order[ring_start[tv] + (k - 1) % np.maximum(degv[tv], 1)]
 
-    visited = np.zeros(nd, dtype=bool)
-    faces, sides, areas, boundary = [], [], [], []
+    label, seq, offsets = _face_cycles(nxt)
+    nf = len(offsets) - 1
+    # shoelace sums, one src x (dst - src) term per half-edge
+    shoelace = pts[src, 0] * vec[:, 1] - pts[src, 1] * vec[:, 0]
+    signed = 0.5 * np.bincount(label, weights=shoelace, minlength=nf)
+    corner = src[seq]
+    rsel = rad[sel]
+    max_radius = np.maximum.reduceat(rsel[corner], offsets[:-1]) if nf else np.empty(0)
     margin = 3.0 * p.disc.diameter
     reach = (float(window) if window is not None else float(rad.max())) - margin
-    rsel = rad[sel]
-    for h0 in range(nd):
-        if visited[h0]:
-            continue
-        loop = []
-        h = h0
-        while not visited[h]:
-            visited[h] = True
-            loop.append(src[h])
-            h = nxt[h]
-        idx = np.asarray(loop)
-        poly = pts[idx]
-        x, y = poly[:, 0], poly[:, 1]
-        ar = 0.5 * float(np.sum(x * np.roll(y, -1) - y * np.roll(x, -1)))
-        outerish = ar <= 1e-12 * max(1.0, p.disc.diameter**2)
-        far = bool(np.any(rsel[idx] > reach))
-        faces.append(poly)
-        sides.append(len(idx))
-        areas.append(abs(ar))
-        boundary.append(outerish or far)
+    outerish = signed <= 1e-12 * max(1.0, p.disc.diameter**2)
+    polys = pts[corner]
+    cuts = offsets.tolist()
     sub = Subdivision(
-        faces=faces,
-        sides=np.asarray(sides, dtype=np.int64),
-        areas=np.asarray(areas, dtype=float),
-        boundary=np.asarray(boundary, dtype=bool),
+        faces=[polys[a:b] for a, b in zip(cuts[:-1], cuts[1:])],
+        sides=np.diff(offsets),
+        areas=np.abs(signed),
+        boundary=outerish | (max_radius > reach),
         vertex_count=nv,
         disc=p.disc,
+        max_radius=max_radius,
     )
     p._cache[cache_key] = sub
     return sub
@@ -740,6 +783,8 @@ def check_proposition(s: Subdivision):
 def measure_stats(p: Packing, R: float) -> PackingStats:
     """Window statistics around the centroid of the generated centers."""
     R = float(R)
+    if not R > 0.0:
+        raise BoundsRangeError(f"window radius {R} must be positive")
     centers = p.centers
     c0 = centers.mean(axis=0)
     rad = np.hypot(*(centers - c0).T)
@@ -760,15 +805,9 @@ def measure_stats(p: Packing, R: float) -> PackingStats:
     lam_hat = float(g.degrees[inwin].mean())
     dens_hat = nwin * p.disc.area / (np.pi * R * R)
     sub = build_subdivision(p)
-    keep_sides = []
-    for i, poly in enumerate(sub.faces):
-        if sub.boundary[i]:
-            continue
-        pr = np.hypot(*(poly - c0).T)
-        if np.all(pr <= R):
-            keep_sides.append(sub.sides[i])
-    nfaces = len(keep_sides)
-    avg_sides = float(np.mean(keep_sides)) if nfaces else float("nan")
+    kept = sub.sides[~sub.boundary & (sub.max_radius <= R)]
+    nfaces = len(kept)
+    avg_sides = float(kept.mean()) if nfaces else float("nan")
     ratio = nwin / nfaces if nfaces else float("nan")
     return PackingStats(
         window_radius=R,
@@ -800,7 +839,12 @@ def load_packing(path: str) -> Packing:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise GeometryError(f"cannot read packing file: {exc}") from exc
-    if "disc" not in doc or "centers" not in doc:
-        raise GeometryError("packing file needs 'disc' and 'centers'")
-    disc = disc_from_dict(doc["disc"])
-    return Packing(disc=disc, centers=np.asarray(doc["centers"], dtype=float), generator=doc.get("generator"))
+    if not isinstance(doc, dict) or "disc" not in doc or "centers" not in doc:
+        raise GeometryError("packing file needs an object with 'disc' and 'centers'")
+    gen = doc.get("generator")
+    if gen is not None and not isinstance(gen, dict):
+        raise GeometryError("packing file 'generator' must be an object")
+    covered = (gen or {}).get("covered_radius")
+    if covered is not None and (isinstance(covered, bool) or not isinstance(covered, (int, float))):
+        raise GeometryError("packing file 'covered_radius' must be a number")
+    return Packing(disc=disc_from_dict(doc["disc"]), centers=doc["centers"], generator=gen)

@@ -5,7 +5,7 @@ import pytest
 
 from minkpack.cli import main
 from minkpack.geometry import save_disc
-from minkpack.packing import load_packing, save_packing
+from minkpack.packing import Packing, load_packing, save_packing
 
 
 def run(capsys, *argv):
@@ -54,6 +54,14 @@ def test_profile_rejects_asymmetric(capsys, tmp_path):
     code, _, err = run(capsys, "profile", "--disc", str(path))
     assert code == 2
     assert err
+
+
+def test_profile_rejects_non_numeric_vertices(capsys, tmp_path):
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps({"vertices": [["a", "b"], [0, 1], [-1, 0], [0, -1]]}))
+    code, _, err = run(capsys, "profile", "--disc", str(path))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_bound_example(capsys):
@@ -153,8 +161,6 @@ def test_analyze_mixed_packing(capsys, tmp_path):
 
 def test_analyze_rejects_invalid_packing(capsys, tmp_path, square):
     packfile = tmp_path / "bad.json"
-    from minkpack.packing import Packing
-
     p = Packing(disc=square, centers=np.array([[0.0, 0.0], [2.0, 0.0]]))
     save_packing(p, str(packfile))
     doc = json.loads(packfile.read_text())
@@ -197,3 +203,46 @@ def test_missing_file_is_reported(capsys, tmp_path):
     code, _, err = run(capsys, "profile", "--disc", str(tmp_path / "absent.json"))
     assert code != 0
     assert err
+
+
+@pytest.mark.parametrize("doc", ["5", '"disc centers"', "[1, 2]", "null"])
+def test_analyze_rejects_non_object_packing(capsys, tmp_path, doc):
+    packfile = tmp_path / "odd.json"
+    packfile.write_text(doc)
+    code, _, err = run(capsys, "analyze", str(packfile), "--radius", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("centers", ['[["a", "b"]]', "[[0, 0], [1]]", "[[0, 0], [NaN, 0], [4, 0]]",
+                                     "[[0, 0], [Infinity, 0]]"])
+def test_analyze_rejects_bad_centers(capsys, tmp_path, square, centers):
+    packfile = tmp_path / "bad.json"
+    save_packing(Packing(disc=square, centers=np.array([[0.0, 0.0]])), str(packfile))
+    text = packfile.read_text().replace("[[0.0, 0.0]]", centers)
+    packfile.write_text(text)
+    code, _, err = run(capsys, "analyze", str(packfile), "--radius", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("generator",
+                         ["5", '{"covered_radius": "abc"}', '{"covered_radius": true}'])
+def test_analyze_rejects_bad_generator(capsys, tmp_path, square, generator):
+    packfile = tmp_path / "gen.json"
+    save_packing(Packing(disc=square, centers=np.array([[0.0, 0.0], [2.0, 0.0]])), str(packfile))
+    doc = json.loads(packfile.read_text())
+    doc["generator"] = json.loads(generator)
+    packfile.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "analyze", str(packfile), "--radius", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("radius", ["abc", "1,x", "0", "-3"])
+def test_analyze_rejects_bad_radius(capsys, tmp_path, square, radius):
+    packfile = tmp_path / "pair.json"
+    save_packing(Packing(disc=square, centers=np.array([[0.0, 0.0], [2.0, 0.0]])), str(packfile))
+    code, _, err = run(capsys, "analyze", str(packfile), "--radius", radius)
+    assert code == 4
+    assert err.startswith("error:")

@@ -1,13 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from minkpack.bounds import BoundsRangeError
 from minkpack.extremal import make_theorem_hexagon
 from minkpack.geometry import GeometryError, regular_ngon
 from minkpack.packing import (
+    TOUCH_REL,
     Packing,
     PackingInvalidError,
     Subdivision,
+    _crossing_pairs,
+    _face_cycles,
     build_subdivision,
     check_proposition,
     four_neighbour_lattice,
@@ -20,6 +27,7 @@ from minkpack.packing import (
     three_neighbour_honeycomb,
     validate_packing,
 )
+from minkpack.random_shapes import random_disc
 
 
 def _interior_degrees(p, shrink=0.5):
@@ -63,6 +71,61 @@ def test_packing_rejects_bad_centers(square):
         Packing(disc=square, centers=np.empty((0, 2)))
     with pytest.raises(GeometryError):
         Packing(disc=square, centers=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(GeometryError):
+        Packing(disc=square, centers=[["a", "b"]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_packing_rejects_non_finite_centers(hexagon_34, bad):
+    with pytest.raises(GeometryError):
+        Packing(disc=hexagon_34, centers=np.array([[0.0, 0.0], [bad, 0.0], [4.0, 0.0]]))
+
+
+def _brute_contacts(p):
+    """(pairs within the contact cutoff, touching pairs i < j) by an all-pairs scan."""
+    I, J = np.triu_indices(len(p.centers), k=1)
+    d = p.centers[I] - p.centers[J]
+    cutoff = (2.0 + 4.0 * TOUCH_REL) * float(np.hypot(*p.disc.vertices.T).max())
+    near = (d * d).sum(axis=1) <= cutoff * cutoff
+    touch = np.abs(p.disc.gauge_many(d[near]) - 2.0) <= p.touch_eps
+    return int(near.sum()), np.column_stack([I[near][touch], J[near][touch]])
+
+
+_CONTACT_DISCS = {
+    "family": lambda: make_theorem_hexagon(0.8),
+    "square": lambda: make_theorem_hexagon(1.0),
+    "random10": lambda: random_disc(np.random.default_rng(5), 5),
+}
+_CONTACT_BUILDS = {
+    "six": lambda d: six_neighbour_lattice(d, extent=6),
+    "four": lambda d: four_neighbour_lattice(d, extent=6),
+    "honeycomb": lambda d: three_neighbour_honeycomb(d, extent=6),
+    "six+four": lambda d: mixed_strip_packing(d, "six", "four", 0.5, strip_width=4, extent=16),
+    "six+honeycomb": lambda d: mixed_strip_packing(d, "six", "honeycomb", 0.5, strip_width=4,
+                                                   extent=16),
+    "four+honeycomb": lambda d: mixed_strip_packing(d, "four", "honeycomb", 0.5, strip_width=4,
+                                                    extent=16),
+}
+
+
+@pytest.mark.parametrize(
+    "disc,build",
+    # six and honeycomb strips are refused where the strip frame is square
+    [(d, b) for d in _CONTACT_DISCS for b in _CONTACT_BUILDS
+     if not (b == "six+honeycomb" and d != "family")],
+)
+def test_contacts_match_all_pairs_scan(disc, build):
+    d = _CONTACT_DISCS[disc]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # best-effort strip frame of the random disc
+        p = _CONTACT_BUILDS[build](d)
+    npairs, edges = _brute_contacts(p)
+    rep = validate_packing(p)
+    assert rep["ok"] and rep["pairs_checked"] == npairs
+    assert "graph" in p._cache  # the valid packing's graph came from the same pass
+    g = neighbour_graph(p)
+    assert np.array_equal(g.edges, edges)
+    assert np.array_equal(g.degrees, np.bincount(edges.ravel(), minlength=len(p.centers)))
 
 
 # --- pure generators --------------------------------------------------------
@@ -158,6 +221,118 @@ def test_crossing_edges_rejected(square):
     assert validate_packing(p)["ok"]
     with pytest.raises(PackingInvalidError):
         build_subdivision(p)
+
+
+def test_crossing_found_at_the_edge_of_the_midpoint_search():
+    # the segments cross within 1e-4 of the end of the first and 1e-6 of its length
+    # from the start of the second, so their midpoints are all but a longest
+    # edge apart; sliding the second one 2e-4 further right parts them
+    c = np.array([[0.0, 0.0], [10.0, 0.0], [9.9999, -1e-7], [19.9999, 0.1]])
+    edges = np.array([[0, 1], [2, 3]])
+    mids = 0.5 * (c[edges[:, 0]] + c[edges[:, 1]])
+    longest = np.hypot(*(c[edges[:, 1]] - c[edges[:, 0]]).T).max()
+    assert np.hypot(*(mids[1] - mids[0])) > 0.9998 * longest
+    assert _crossing_pairs(c, edges) == 1
+    apart = c + np.array([[0.0, 0.0], [0.0, 0.0], [2e-4, 0.0], [2e-4, 0.0]])
+    assert _crossing_pairs(apart, edges) == 0
+
+
+def test_face_cycles_match_a_walk():
+    rng = np.random.default_rng(7)
+    nxt = rng.permutation(500)
+    label, seq, offsets = _face_cycles(nxt)
+    seen, walks = np.zeros(len(nxt), dtype=bool), []
+    for h0 in range(len(nxt)):
+        walk, h = [], h0
+        while not seen[h]:
+            seen[h] = True
+            walk.append(h)
+            h = nxt[h]
+        if walk:
+            walks.append(walk)
+    faces = [seq[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+    assert sorted(faces) == sorted(walks)
+    for f, face in enumerate(faces):
+        assert np.all(label[face] == f)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: three_neighbour_honeycomb(make_theorem_hexagon(0.8), extent=8),
+    lambda: mixed_strip_packing(make_theorem_hexagon(0.9), "six", "four", 0.5,
+                                strip_width=4, extent=24),
+])
+def test_face_values_match_their_rings(build):
+    p = build()
+    s = build_subdivision(p)
+    c0 = p.centers.mean(axis=0)
+    edges = {tuple(e) for e in neighbour_graph(p).edges.tolist()}
+    index = {tuple(c): i for i, c in enumerate(p.centers.tolist())}
+    for f, poly in enumerate(s.faces):
+        ring = [index[tuple(c)] for c in poly.tolist()]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            assert (min(a, b), max(a, b)) in edges
+        x, y = poly[:, 0], poly[:, 1]
+        signed = 0.5 * float(np.sum(x * np.roll(y, -1) - y * np.roll(x, -1)))
+        assert s.sides[f] == len(poly)
+        assert s.areas[f] == pytest.approx(abs(signed), rel=1e-9, abs=1e-9)
+        assert s.max_radius[f] == np.hypot(*(poly - c0).T).max()
+        if signed <= 0.0:
+            assert s.boundary[f]
+
+
+def _euler_sides(p, s, window=None):
+    """(V - E + F, 2C + I) of a subdivision, C and I from csgraph."""
+    rad = np.hypot(*(p.centers - p.centers.mean(axis=0)).T)
+    keep = rad <= window if window is not None else np.ones(len(rad), dtype=bool)
+    index = np.cumsum(keep) - 1
+    e = neighbour_graph(p).edges
+    e = index[e[keep[e].all(axis=1)]]
+    nv = int(keep.sum())
+    assert s.vertex_count == nv
+    deg = np.bincount(e.ravel(), minlength=nv)
+    adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
+    _, label = connected_components(adj, directed=False)
+    comps = len(np.unique(label[deg > 0]))
+    isolated = int(np.count_nonzero(deg == 0))
+    return nv - len(e) + len(s.faces), 2 * comps + isolated
+
+
+_EULER_CASES = {
+    "six:34": ("hexagon_34", lambda d: six_neighbour_lattice(d)),
+    "six:78": ("hexagon_78", lambda d: six_neighbour_lattice(d)),
+    "six:square": ("square", lambda d: six_neighbour_lattice(d)),
+    "four:34": ("hexagon_34", lambda d: four_neighbour_lattice(d)),
+    "four:78": ("hexagon_78", lambda d: four_neighbour_lattice(d)),
+    "four:square": ("square", lambda d: four_neighbour_lattice(d)),
+    "honeycomb:34": ("hexagon_34", lambda d: three_neighbour_honeycomb(d, extent=40)),
+    "honeycomb:78": ("hexagon_78", lambda d: three_neighbour_honeycomb(d)),
+    "honeycomb:square": ("square", lambda d: three_neighbour_honeycomb(d)),
+    "six+four:78": ("hexagon_78", lambda d: mixed_strip_packing(
+        d, "six", "four", 0.5, strip_width=4, extent=60)),
+    "four+honeycomb:square": ("square", lambda d: mixed_strip_packing(
+        d, "four", "honeycomb", 0.5, strip_width=4, extent=60)),
+    "six+honeycomb:34": ("hexagon_34", lambda d: mixed_strip_packing(
+        d, "six", "honeycomb", 1.0 / 3.0, strip_width=4, extent=60)),
+    "octagon six+four": (None, lambda d: mixed_strip_packing(
+        regular_ngon(8), "six", "four", 0.5, strip_width=4, extent=40)),
+    "two touching": ("square", lambda d: Packing(
+        disc=d, centers=np.array([[0.0, 0.0], [2.0, 0.0]]))),
+    "one center": ("square", lambda d: Packing(disc=d, centers=np.array([[3.0, -1.0]]))),
+}
+
+
+@pytest.mark.parametrize("case", list(_EULER_CASES))
+def test_euler_relation(request, case):
+    # the face walk gives one outer cycle per component: V - E + F = 2C + I
+    fixture, build = _EULER_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = build(request.getfixturevalue(fixture) if fixture else None)
+    lhs, rhs = _euler_sides(p, build_subdivision(p))
+    assert lhs == rhs
+    if case.startswith("six:"):
+        lhs, rhs = _euler_sides(p, build_subdivision(p, window=10.0), window=10.0)
+        assert lhs == rhs
 
 
 def test_subdivision_window_subset(hexagon_78):
