@@ -1,19 +1,22 @@
 """Extremal areas of unit-sided polygons in a polygonal gauge.
 
-The triangle optimum is found exactly: every critical configuration has
-each side either at a vertex of the unit ball or interior to an edge
+The triangle and pentagon optima are found exactly.  A triangle optimum
+has each side either at a vertex of the unit ball or interior to an edge
 with the closing constraint active, so enumerating (edge, edge, closing
 edge) triples and solving the linear constraint covers the global
-maximum including flat (tied) families.  Even-k optima are attained at
-vertex/midpoint anchors by convexity of the area in each side; k = 5
-needs an actual search and uses stratified multistart coordinate
-descent with a feasibility polish on the closing side.
+maximum including flat (tied) families.  A pentagon is a nondecreasing
+5-tuple of edges, one side per edge; its area is a quadratic on the
+polytope of closing side parameters, and the optimum is a stationary
+point of one of the polytope's faces, which are solved in closed form
+(see the pentagon section below).  Even-k optima are attained at
+vertex/midpoint anchors by convexity of the area in each side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -358,159 +361,242 @@ def max_hexagon_candidates(d: ConvexDisc) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# pentagon search
+# pentagon optimum, exact
+#
+# Side i lies on edge e_i of the disc: s_i = V[e_i] + t_i E[e_i], t_i in [0, 1].
+# Edge order is angular order, so labelling the sides by nondecreasing edge
+# gives their angular order, and the area is the label-order sum
+#     Q(t) = 1/2 sum_{i<j} cross(s_i, s_j),
+# a quadratic in t over the polytope {t in [0, 1]^5 : sum s_i = 0}.  Q never
+# exceeds the area of the angle-sorted polygon and equals it when the labels
+# are in angular order, so the optimum pentagon maximizes Q on the polytope
+# of its own edge multiset.  That maximum is a stationary point of Q on some
+# face (the free sides inside their edges, the others at t = 0 or 1).  A face
+# whose reduced Hessian is singular (a repeated edge, parallel free edges)
+# is skipped: Q is constant along its stationary set, which therefore meets
+# a lower face with the same value.  Faces with fewer than two free sides
+# need no solve: their points are also the solutions of a two-free face
+# whose free edges are not parallel.
+
+_CHUNK = 1024  # multisets per face batch
+_JOIN_CAP = 1 << 16  # pair/triple candidates expanded at a time
 
 
-def _closing_roots(d: ConvexDisc, s123: np.ndarray, t_center: float, span: float) -> np.ndarray:
-    """Parameters t where the closing side -(s123 + b(t)) has gauge exactly 1."""
-    n = 641 if span > 0.5 else 129
-    ts = t_center + np.linspace(-span / 2.0, span / 2.0, n)
-    f = d.gauge_many(-(s123 + d.boundary_points(ts))) - 1.0
-    roots = [ts[i] for i in np.nonzero(np.abs(f) <= 1e-12)[0]]
-    sgn = np.sign(f)
-    idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    if len(idx):
-        a = ts[idx].copy()
-        b = ts[idx + 1].copy()
-        fa = f[idx].copy()
-        for _ in range(46):
-            mid = 0.5 * (a + b)
-            fm = d.gauge_many(-(s123 + d.boundary_points(mid))) - 1.0
-            same = (fm > 0) == (fa > 0)
-            a = np.where(same, mid, a)
-            fa = np.where(same, fm, fa)
-            b = np.where(same, b, mid)
-        roots.extend(0.5 * (a + b))
-    return np.asarray(roots, dtype=float)
+def _zonotope_closes(d: ConvexDisc, T: np.ndarray) -> np.ndarray:
+    """Rows of edge tuples T whose edge segments can sum to zero.
 
-
-def _feasible_area(d: ConvexDisc, t123: np.ndarray, t4_guess: float):
-    """Best feasible pentagon area with the first three parameters fixed."""
-    pts = d.boundary_points(np.asarray(t123, dtype=float))
-    s123 = pts.sum(axis=0)
-    best, best_t4 = -1.0, None
-    for span in (0.12, 1.0):
-        for tr in _closing_roots(d, s123, t4_guess, span):
-            s4 = d.boundary_points(np.array([tr]))[0]
-            s5 = -(s123 + s4)
-            if abs(d.gauge(s5) - 1.0) > 1e-9:
-                continue
-            area = float(sorted_sides_area(np.vstack([pts, s4[None], s5[None]])))
-            if area > best:
-                best, best_t4 = area, float(tr % 1.0)
-        if best >= 0.0:
-            break
-    return best, best_t4
-
-
-def _pentagon_refine(d: ConvexDisc, t123: np.ndarray, t4: float) -> float:
-    """Feasible local polish: anchor snapping then shrinking coordinate steps."""
-    t = np.asarray(t123, dtype=float) % 1.0
-    best, bt4 = _feasible_area(d, t, t4)
-    if bt4 is not None:
-        t4 = bt4
-    vp = d.vertex_parameters()
-    vp_ext = np.concatenate([vp, [1.0]])
-    anchors = np.unique(np.concatenate([vp, 0.5 * (vp_ext[:-1] + vp_ext[1:])]) % 1.0)
-    for _ in range(2):
-        moved = False
-        for ci in range(3):
-            for apar in anchors:
-                tt = t.copy()
-                tt[ci] = apar
-                a2, t42 = _feasible_area(d, tt, t4)
-                if a2 > best + 1e-14:
-                    best, t, t4, moved = a2, tt, t42, True
-        if not moved:
-            break
-    if best < 0.0:
-        return -1.0
-    h = 1.0 / 64.0
-    steps = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-    for _ in range(14):
-        for ci in range(3):
-            for sv in steps:
-                tt = t.copy()
-                tt[ci] = (tt[ci] + sv * h) % 1.0
-                a2, t42 = _feasible_area(d, tt, t4)
-                if a2 > best + 1e-15:
-                    best, t, t4 = a2, tt, t42
-        h *= 0.62
-    return best
-
-
-def _anchored_pentagon_scan(d: ConvexDisc) -> float:
-    """Exact sweep of pentagons with four sides on vertex/midpoint anchors.
-
-    The fifth side is the closing vector; a configuration counts only when
-    that side lands on the boundary too.  Catches every fully anchored
-    optimum at machine precision.
+    The sum of the segments is a zonotope whose edge normals are the disc
+    normals of its generators; 0 lies in it exactly when no such normal
+    separates the two (five sides all on parallel edges fail along that
+    normal, since they cannot split evenly between the two edge lines).
+    mid[u, e] and half[u, e] are the midpoint and half width of edge e seen
+    along normal u.
     """
-    from itertools import combinations_with_replacement
-
-    P = _anchors(d)
-    n = len(P)
-    if n > 32:
-        return -1.0
-    quads = np.array(list(combinations_with_replacement(range(n), 4)))
-    S = P[quads[:, 0]] + P[quads[:, 1]] + P[quads[:, 2]] + P[quads[:, 3]]
-    s5 = -S
-    ok = np.abs(d.gauge_many(s5) - 1.0) <= 1e-9
-    if not ok.any():
-        return -1.0
-    q = quads[ok]
-    sides = np.concatenate([P[q], s5[ok][:, None, :]], axis=1)
-    return float(sorted_sides_area(sides).max())
+    V, N = d.vertices, d.normals
+    E = np.roll(V, -1, axis=0) - V
+    mid, half = N @ (V + 0.5 * E).T, 0.5 * np.abs(N @ E.T)
+    ok = np.ones(len(T), dtype=bool)
+    for u in T.T:
+        ok &= np.abs(sum(mid[u, e] for e in T.T)) <= sum(half[u, e] for e in T.T) + 1e-9
+    return ok
 
 
-def _pentagon_search(d: ConvexDisc, n_starts: int = 64) -> float:
-    idx = np.arange(n_starts, dtype=float)
-    T = np.stack(
-        [
-            (idx + 0.5) / n_starts,
-            (idx * 0.6180339887498949 + 0.31) % 1.0,
-            (idx * 0.4142135623730951 + 0.17) % 1.0,
-            (idx * 0.3247179572447460 + 0.77) % 1.0,
-        ],
-        axis=1,
-    )
-    offs = np.array([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
-    mu = 2.0 * d.area
-    h = 1.0 / 12.0
+def _closing_multisets(d: ConvexDisc) -> np.ndarray:
+    """Nondecreasing edge 5-tuples whose segments can close a pentagon.
 
-    def batch_obj(Tb, mu):
-        pts = d.boundary_points(Tb.reshape(-1)).reshape(*Tb.shape[:-1], 4, 2)
-        s5 = -pts.sum(axis=-2)
-        g = d.gauge_many(s5)
-        sides = np.concatenate([pts, s5[..., None, :]], axis=-2)
-        flat = sides.reshape(-1, 5, 2)
-        areas = sorted_sides_area(flat).reshape(Tb.shape[:-1])
-        return areas - mu * (g - 1.0) ** 2
+    Each tuple splits once into a pair (a <= b) and a triple (c <= d <= e)
+    with b <= c.  A sum of segments lies within the sum of their half
+    lengths of the sum of their midpoints, so a closing tuple has pair and
+    triple midpoint sums within rp + rt of each other's negation.  Pairs are
+    hashed on a grid of cells no smaller than that, and each triple looks in
+    the 3 x 3 cells around its negated midpoint sum; the survivors get the
+    exact zonotope test.  Candidates are expanded about _JOIN_CAP at a
+    time, so memory never grows with C(n + 4, 5).
+    """
+    V = d.vertices
+    n = len(V)
+    E = np.roll(V, -1, axis=0) - V
+    mid = V + 0.5 * E
+    half = 0.5 * np.hypot(E[:, 0], E[:, 1])
+    P, T3 = (np.array(list(combinations_with_replacement(range(n), k))) for k in (2, 3))
+    cp, rp = mid[P].sum(axis=1), half[P].sum(axis=1)
+    ct, rt = mid[T3].sum(axis=1), half[T3].sum(axis=1)
+    tol = 1e-9 * d.diameter
+    h = float(rp.max() + rt.max()) + tol
+    row = 1 << 21  # cell key = (ix + 2^20) * 2^21 + (iy + 2^20)
 
-    for sweep in range(18):
-        for cidx in range(4):
-            Tb = np.repeat(T[:, None, :], len(offs), axis=1)
-            Tb[:, :, cidx] = (Tb[:, :, cidx] + offs[None, :] * h) % 1.0
-            vals = batch_obj(Tb, mu)
-            pick = np.argmax(vals, axis=1)
-            T[:, cidx] = Tb[np.arange(n_starts), pick, cidx]
-        h *= 0.75
-        if sweep % 5 == 4:
-            mu *= 3.0
+    def cell(pts):
+        c = np.floor(pts / h).astype(np.int64) + (1 << 20)
+        return c[:, 0] * row + c[:, 1]
 
-    final = batch_obj(T[:, None, :], mu).reshape(-1)
-    order = np.argsort(-final, kind="stable")
-    best = _anchored_pentagon_scan(d)
-    for s in order[:2]:
-        best = max(best, _pentagon_refine(d, T[s, :3], float(T[s, 3])))
-    if best < 0.0:
-        # penalized winners were infeasible; fall back down the ranking
-        for s in order[2:]:
-            a, _ = _feasible_area(d, T[s, :3], float(T[s, 3]))
-            best = max(best, a)
-            if best >= 0.0:
-                break
-    return max(best, 0.0)
+    # pairs sorted by (cell, b): in each cell those with b <= c form a prefix
+    key = cell(cp) * (n + 1) + P[:, 1]
+    order = np.argsort(key, kind="stable")
+    key, P, cp, rp = key[order], P[order], cp[order], rp[order]
+    nbr = np.array([dx * row + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    out = [np.zeros((0, 5), dtype=np.int64)]
+    for t0 in range(0, len(T3), 4096):
+        ti = np.arange(t0, min(t0 + 4096, len(T3)))
+        cells = ((cell(-ct[ti])[:, None] + nbr) * (n + 1)).ravel()
+        lo = np.searchsorted(key, cells, side="left")
+        cnt = np.searchsorted(key, cells + np.repeat(T3[ti, 0], 9), side="right") - lo
+        owner = np.repeat(ti, 9)
+        csum = np.cumsum(cnt)
+        cuts = np.searchsorted(csum, np.arange(_JOIN_CAP, int(csum[-1]), _JOIN_CAP), side="right")
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(cnt)]):
+            c = cnt[a:b]
+            pi = np.arange(int(c.sum())) - np.repeat(np.cumsum(c) - c - lo[a:b], c)
+            tj = np.repeat(owner[a:b], c)
+            near = np.hypot(*(cp[pi] + ct[tj]).T) <= rp[pi] + rt[tj] + tol
+            cand = np.concatenate([P[pi[near]], T3[tj[near]]], axis=1)
+            out.append(cand[_zonotope_closes(d, cand)])
+    return np.concatenate(out)
+
+
+def _face_table():
+    """Per free set F of size 2..5: fixed sides, their 0/1 values, pivot pairs, the rest."""
+    faces = []
+    for f in range(2, 6):
+        for F in combinations(range(5), f):
+            fixed = [i for i in range(5) if i not in F]
+            phi = np.array(list(product((0.0, 1.0), repeat=len(fixed))))
+            pairs = list(combinations(F, 2))
+            rest = np.array([[i for i in F if i not in pq] for pq in pairs], dtype=np.intp)
+            faces.append((np.array(fixed, dtype=np.intp), phi, np.array(pairs, dtype=np.intp), rest))
+    return faces
+
+
+_FACES = _face_table()
+_SIGN = np.sign(np.subtract.outer(np.arange(5), np.arange(5))).T  # sign(j - i)
+
+
+def _inverse_small(M: np.ndarray):
+    """Batched inverse and determinant of 1x1, 2x2 or 3x3 matrices, by cofactors."""
+    k = M.shape[-1]
+    if k == 1:
+        det = M[..., 0, 0]
+        adj = np.ones_like(M)
+    elif k == 2:
+        det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+        adj = np.stack([np.stack([M[..., 1, 1], -M[..., 0, 1]], -1),
+                        np.stack([-M[..., 1, 0], M[..., 0, 0]], -1)], -2)
+    else:
+        r0, r1, r2 = M[..., 0, :], M[..., 1, :], M[..., 2, :]
+        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], -1)
+        det = np.einsum("...i,...i->...", r0, adj[..., :, 0])
+    safe = np.where(det == 0.0, 1.0, det)
+    return adj / safe[..., None, None], det
+
+
+def _face_solutions(Vs: np.ndarray, Es: np.ndarray):
+    """Stationary points of Q on the faces of _FACES, in order, for a batch of multisets.
+
+    Vs and Es are the (B, 5, 2) edge starts and vectors.  Yields, per face,
+    t of shape (B, K, 5) for its K fixed assignments and a (B,) mask of the
+    multisets on which the face is nonsingular.  Two free sides p, q (the
+    pair furthest from parallel) absorb the closing constraint by Cramer's
+    rule; each other free side spans one null-space direction, and Q on
+    that null space is solved by cofactors.
+    """
+    B = len(Vs)
+    rows = np.arange(B)
+    C = cross_many(Es[:, :, None, :], Es[:, None, :, :])  # C[b, i, j] = cross(E_i, E_j)
+    H = 0.5 * np.triu(C, 1)
+    H = H + H.transpose(0, 2, 1)
+    g = 0.5 * (cross_many(Es[:, :, None, :], Vs[:, None, :, :]) * _SIGN).sum(axis=-1)
+    r = -Vs.sum(axis=1)
+    elen = np.hypot(Es[..., 0], Es[..., 1])
+    for fixed, phi, pairs, rest in _FACES:
+        # pivot: the free pair whose edges are furthest from parallel
+        pick = np.argmax(np.abs(C[:, pairs[:, 0], pairs[:, 1]]), axis=1)
+        p, q, others = pairs[pick, 0], pairs[pick, 1], rest[pick]
+        D = C[rows, p, q]
+        good = np.abs(D) > 1e-12 * elen[rows, p] * elen[rows, q]
+        D = np.where(good, D, 1.0)
+        rr = r[:, None, :] - np.matmul(phi, Es[:, fixed])  # closing vector left for the free sides
+        Ep, Eq = Es[rows, p][:, None], Es[rows, q][:, None]
+        t = np.zeros((B, len(phi), 5))
+        t[:, :, fixed] = phi
+        t[rows, :, p] = cross_many(rr, Eq) / D[:, None]
+        t[rows, :, q] = cross_many(Ep, rr) / D[:, None]
+        k = others.shape[1]
+        if k:
+            # null-space basis: one other free side moves, p and q compensate
+            Z = np.zeros((B, 5, k))
+            Z[rows[:, None], others, np.arange(k)] = 1.0
+            Z[rows, p, :] = -C[rows[:, None], others, q[:, None]] / D[:, None]
+            Z[rows, q, :] = -C[rows[:, None], p[:, None], others] / D[:, None]
+            M = Z.transpose(0, 2, 1) @ H @ Z
+            Minv, det = _inverse_small(M)
+            good &= np.abs(det) > 1e-12 * np.abs(M).max(axis=(1, 2)) ** k
+            grad = t @ H + g[:, None, :]
+            t = t - (grad @ Z) @ Minv @ Z.transpose(0, 2, 1)
+        yield t, good
+
+
+def _face_points(V: np.ndarray, E: np.ndarray, T: np.ndarray, scale: float):
+    """Feasible stationary points of Q on every nonsingular face, as (area, sides).
+
+    A point is kept when its t lies in the box within 1e-9, and the sides
+    with t clipped to the box still close within 1e-12 * scale.
+    """
+    Vs, Es = V[T], E[T]
+    for t, good in _face_solutions(Vs, Es):
+        ok = good[:, None] & np.all((t >= -1e-9) & (t <= 1.0 + 1e-9), axis=-1)
+        b, j = np.nonzero(ok)
+        sides = Vs[b] + np.clip(t[b, j], 0.0, 1.0)[..., None] * Es[b]
+        closed = np.abs(sides.sum(axis=1)).max(axis=1) <= 1e-12 * scale
+        if closed.any():
+            yield sorted_sides_area(sides[closed]), sides[closed]
+
+
+def _area_bound(V: np.ndarray, E: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Upper bound on Q over the box: each bilinear term of Q at its best corner."""
+    lo = V[T]
+    hi = lo + E[T]
+    ub = np.zeros(len(T))
+    for i in range(5):
+        for j in range(i + 1, 5):
+            ub += 0.5 * np.max([cross_many(a[:, i], b[:, j]) for a in (lo, hi) for b in (lo, hi)],
+                               axis=0)
+    return ub
+
+
+def _pentagon_optimum(d: ConvexDisc):
+    """f5 and the side sets within _REL of it, by face enumeration.
+
+    Multisets are visited by decreasing area bound and the scan stops once
+    the bound falls below the best area found.
+    """
+    V = d.vertices
+    E = np.roll(V, -1, axis=0) - V
+    T = _closing_multisets(d)
+    ub = _area_bound(V, E, T)
+    order = np.argsort(-ub, kind="stable")
+    T, ub = T[order], ub[order]
+    best, areas, sides = 0.0, [np.zeros(0)], [np.zeros((0, 5, 2))]
+    for lo in range(0, len(T), _CHUNK):
+        if ub[lo] < best * (1.0 - _REL) - 1e-12:
+            break
+        for a, s in _face_points(V, E, T[lo:lo + _CHUNK], d.diameter):
+            best = max(best, float(a.max()))
+            near = a >= best * (1.0 - _REL) - 1e-12
+            areas.append(a[near])
+            sides.append(s[near])
+    areas, sides = np.concatenate(areas), np.concatenate(sides)
+    return best, sides[areas >= best * (1.0 - _REL) - 1e-12]
+
+
+def max_pentagon_candidates(d: ConvexDisc) -> list[np.ndarray]:
+    """All optimal side sets (ties within 1e-9 relative), deduplicated, in angular order."""
+    _, found = _pentagon_optimum(d)
+    out, seen = [], set()
+    for sides in found:
+        key = _canonical_sides_key(sides, d.diameter)
+        if key not in seen:
+            seen.add(key)
+            out.append(sides[np.argsort(np.arctan2(sides[:, 1], sides[:, 0]), kind="stable")])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +614,7 @@ def max_kgon_area(d: ConvexDisc, k: int) -> float:
     if k == 6:
         return _hexagon_scan(d)[0]
     if k == 5:
-        return _pentagon_search(d)
+        return _pentagon_optimum(d)[0]
     raise GeometryError(f"k-gon area defined for k in 3..6, got {k}")
 
 

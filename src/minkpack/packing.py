@@ -38,6 +38,8 @@ from .extremal import (
 from .geometry import ConvexDisc, GeometryError, cross, disc_from_dict, disc_to_dict
 
 TOUCH_REL = 1e-7
+# ceiling on the (2 extent + 1)^2 lattice points a generator may be asked for
+MAX_LATTICE_POINTS = 1 << 22
 
 
 class PackingInvalidError(ValueError):
@@ -173,6 +175,15 @@ def neighbour_graph(p: Packing) -> NeighbourGraph:
 # lattice generators with coincidence tie-breaking
 
 
+def _check_extent(extent) -> None:
+    """Reject an extent below 0 or one with more than MAX_LATTICE_POINTS points."""
+    if extent < 0:
+        raise BoundsRangeError(f"extent {extent} must be >= 0")
+    if (2 * int(extent) + 1) ** 2 > MAX_LATTICE_POINTS:
+        raise BoundsRangeError(
+            f"extent {extent} asks for more than {MAX_LATTICE_POINTS} lattice points")
+
+
 def _lattice_points(g1, g2, extent: int) -> np.ndarray:
     a = np.arange(-extent, extent + 1)
     A, B = np.meshgrid(a, a, indexing="ij")
@@ -219,6 +230,7 @@ def _pick_lattice_basis(d: ConvexDisc, bases: list, expected: int):
 
 def six_neighbour_lattice(d: ConvexDisc, extent: int = 20) -> Packing:
     """Lattice 2a, 2b from a maximal unit-sided triangle; cell density A/(8*delta)."""
+    _check_extent(extent)
     cands = max_triangle_candidates(d)
     bases = [(2.0 * t[0], 2.0 * t[1]) for t in cands]
     g1, g2 = _pick_lattice_basis(d, bases, expected=6)
@@ -235,6 +247,7 @@ def six_neighbour_lattice(d: ConvexDisc, extent: int = 20) -> Packing:
 
 def four_neighbour_lattice(d: ConvexDisc, extent: int = 20) -> Packing:
     """Lattice 2p, 2q from a maximal unit-sided parallelogram; density A/(4*F4)."""
+    _check_extent(extent)
     cands = max_parallelogram_candidates(d)
     bases = [(2.0 * c[0], 2.0 * c[1]) for c in cands]
     g1, g2 = _pick_lattice_basis(d, bases, expected=4)
@@ -258,6 +271,7 @@ def three_neighbour_honeycomb(d: ConvexDisc, extent: int = 20) -> Packing:
     when extra gauge-2 coincidences occur (reported by the graph, not an
     error).
     """
+    _check_extent(extent)
     cands = max_hexagon_candidates(d)
     options = []
     for triple in cands:
@@ -548,6 +562,9 @@ def mixed_strip_packing(
     f = float(fractionA)
     if not (0.0 <= f <= 1.0):
         raise BoundsRangeError(f"fractionA {f} outside [0, 1]")
+    if strip_width < 1:
+        raise BoundsRangeError(f"strip_width {strip_width} must be >= 1")
+    _check_extent(extent)
     if packA == packB or f >= 1.0 - 1e-9:
         return _PURE[packA](d, extent=max(extent // 2, 8))
     if f <= 1e-9:

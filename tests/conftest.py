@@ -40,9 +40,10 @@ class ProfiledDiscs(list):
 def random_disc_profiles():
     """200 random discs with full extremal profiles, shared across the suite.
 
-    Profiling carries the pentagon search, so this is the expensive fixture;
-    build it once and reuse everywhere.  The recorded build time lets the
-    first consumer account for it in its own runtime budget.
+    Each profile enumerates the faces of every closing pentagon edge
+    multiset for f5, a few milliseconds per disc of at most 12 vertices;
+    the build runs once and is reused everywhere.  The recorded build time
+    lets the first consumer account for it in its own runtime budget.
     """
     t0 = time.perf_counter()
     discs = random_discs(seed=20260822, count=200)

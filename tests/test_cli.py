@@ -246,3 +246,20 @@ def test_analyze_rejects_bad_radius(capsys, tmp_path, square, radius):
     code, _, err = run(capsys, "analyze", str(packfile), "--radius", radius)
     assert code == 4
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--extent", "10000000"],
+    ["--extent", "-3"],
+    ["--generator", "honeycomb", "--extent", "-1"],
+    ["--generator", "mixed:six+four", "--strip-width", "0"],
+    ["--generator", "mixed:six+four", "--strip-width", "-2"],
+])
+def test_pack_rejects_out_of_range_sizes(capsys, tmp_path, argv):
+    hex_path = str(tmp_path / "hex.json")
+    assert run(capsys, "hexagon", "--d0p", "0.875", "--out", hex_path)[0] == 0
+    out = tmp_path / "p.json"
+    code, _, err = run(capsys, "pack", "--disc", hex_path, *argv, "--out", str(out))
+    assert code == 4
+    assert "extent" in err or "strip_width" in err
+    assert not out.exists()
