@@ -54,16 +54,28 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
+# ceiling on the rows a lo:hi:count lambda grid may ask for
+MAX_GRID_POINTS = 1 << 16
+
+
+def _number(text, name: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise BoundsRangeError(f"{name} must be a number: {exc}") from exc
+
+
 def _parse_lambda_grid(spec: str):
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise BoundsRangeError(f"lambda grid {spec!r} must be lo:hi:count")
-        lo, hi, cnt = float(parts[0]), float(parts[1]), int(parts[2])
-        if cnt < 1:
-            raise BoundsRangeError("lambda grid count must be >= 1")
+        lo, hi = _number(parts[0], "--lambda"), _number(parts[1], "--lambda")
+        cnt = _number(parts[2], "lambda grid count", int)
+        if not 1 <= cnt <= MAX_GRID_POINTS:
+            raise BoundsRangeError(f"lambda grid count {cnt} outside [1, {MAX_GRID_POINTS}]")
         return np.linspace(lo, hi, cnt)
-    return np.array([float(t) for t in spec.split(",") if t.strip()])
+    return np.array([_number(t, "--lambda") for t in spec.split(",") if t.strip()])
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +130,7 @@ _CSV_HEADER = "lambda,d0p,branch,bound,corollary1,corollary2"
 
 def cmd_bound(args) -> int:
     if args.d0p is not None:
-        d0p = float(args.d0p)
+        d0p = _number(args.d0p, "--d0p")
     elif args.disc:
         d = load_disc(args.disc)
         d0p = d.area / (8.0 * max_triangle_area(d))
@@ -126,7 +138,7 @@ def cmd_bound(args) -> int:
         raise BoundsRangeError("bound needs --d0p or --disc")
     if args.lam is None:
         raise BoundsRangeError("bound needs --lambda")
-    _emit([_CSV_HEADER, _bound_row(float(args.lam), d0p)], args.out)
+    _emit([_CSV_HEADER, _bound_row(_number(args.lam, "--lambda"), d0p)], args.out)
     return 0
 
 
@@ -134,11 +146,12 @@ def cmd_sweep(args) -> int:
     if args.lam is None:
         raise BoundsRangeError("sweep needs --lambda (value, list, or lo:hi:count)")
     grid = _parse_lambda_grid(args.lam)
+    d0p = None if args.d0p is None else _number(args.d0p, "--d0p")
     lines = [_CSV_HEADER]
     for lam in grid:
         lam = float(lam)
-        if args.d0p is not None:
-            lines.append(_bound_row(lam, float(args.d0p)))
+        if d0p is not None:
+            lines.append(_bound_row(lam, d0p))
         else:
             d0_star, _ = minimize_bound_over_d0(lam, Objective.BOUND)
             lines.append(_bound_row(lam, d0_star))
@@ -149,7 +162,7 @@ def cmd_sweep(args) -> int:
 def cmd_hexagon(args) -> int:
     if args.d0p is None:
         raise BoundsRangeError("hexagon needs --d0p")
-    d = make_theorem_hexagon(float(args.d0p))
+    d = make_theorem_hexagon(_number(args.d0p, "--d0p"))
     if not args.out:
         raise GeometryError("hexagon needs --out FILE")
     save_disc(d, args.out)
@@ -194,10 +207,7 @@ def cmd_analyze(args) -> int:
         print(f"error: packing invalid ({len(rep['violations'])} overlapping pairs)", file=sys.stderr)
         return 3
     d0p = p.disc.area / (8.0 * max_triangle_area(p.disc))
-    try:
-        radii = [float(t) for t in str(args.radius).split(",") if t.strip()]
-    except ValueError as exc:
-        raise BoundsRangeError(f"--radius must be a list of numbers: {exc}") from exc
+    radii = [_number(t, "--radius") for t in str(args.radius).split(",") if t.strip()]
     if not radii:
         raise BoundsRangeError("analyze needs --radius R[,R2,...]")
     lines = ["R,lambda_hat,density_hat,avg_sides_hat,ratio_hat,bound,slack"]

@@ -4,12 +4,17 @@ The triangle and pentagon optima are found exactly.  A triangle optimum
 has each side either at a vertex of the unit ball or interior to an edge
 with the closing constraint active, so enumerating (edge, edge, closing
 edge) triples and solving the linear constraint covers the global
-maximum including flat (tied) families.  A pentagon is a nondecreasing
-5-tuple of edges, one side per edge; its area is a quadratic on the
-polytope of closing side parameters, and the optimum is a stationary
-point of one of the polytope's faces, which are solved in closed form
-(see the pentagon section below).  Even-k optima are attained at
-vertex/midpoint anchors by convexity of the area in each side.
+maximum including flat (tied) families; the triples are solved as whole
+arrays, a bounded batch of closing edges at a time.  Every candidate list
+(triangles, parallelograms, hexagons, pentagons) is deduplicated by one
+batched key, _first_unique, which keeps the first of equal side sets in
+search order, the order the lattice generators break ties by.  A
+pentagon is a nondecreasing 5-tuple of edges, one side per edge; its
+area is a quadratic on the polytope of closing side parameters, and the
+optimum is a stationary point of one of the polytope's faces, which are
+solved in closed form (see the pentagon section below).  Even-k optima
+are attained at vertex/midpoint anchors by convexity of the area in each
+side.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .bounds import BoundsRangeError
 from .geometry import (
     ConvexDisc,
     GeometryError,
-    cross,
     cross_many,
     is_simple_polygon,
     signed_area,
@@ -181,120 +185,146 @@ def symmetrize_even(p: UnitSidedPolygon) -> UnitSidedPolygon:
 # triangle optimum, exact
 
 
-def _canonical_sides_key(sides: np.ndarray, scale: float):
+def _first_unique(sides: np.ndarray, scale: float) -> np.ndarray:
+    """Indices of the first of each class of equal side sets in a (B, k, 2) batch, in order.
+
+    Two side sets are equal when they agree, up to their order and one
+    common sign, after rounding to 11 significant digits of scale.  Each
+    set's key is the lexicographically smaller of +sides and -sides, each
+    with its rows sorted.
+    """
     digits = 11
     if scale > 0:
         digits = max(2, 11 - int(math.floor(math.log10(scale))))
-    best = None
+    keys = []
     for sgn in (1.0, -1.0):
-        rows = sorted(tuple(round(x, digits) + 0.0 for x in row) for row in sgn * sides)
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
-    return best
+        r = np.round(sgn * sides, digits) + 0.0
+        order = np.lexsort((r[..., 1], r[..., 0]), axis=-1)
+        keys.append(np.take_along_axis(r, order[..., None], axis=1).reshape(len(r), 2 * r.shape[1]))
+    pos, neg = keys
+    rows = np.arange(len(pos))
+    first = np.argmax(pos != neg, axis=1)  # where the two first differ
+    key = np.where((neg[rows, first] < pos[rows, first])[:, None], neg, pos)
+    return np.sort(np.unique(key, axis=0, return_index=True)[1])
+
+
+def _clip_interval(p0, q, lo, hi):
+    """Intersect [lo, hi] with {tau : p0 + q*tau in [0, 1]} elementwise; empty gives hi < lo."""
+    safe = np.where(np.abs(q) <= 1e-14, 1.0, q)
+    c1 = (0.0 - p0) / safe
+    c2 = (1.0 - p0) / safe
+    lin = np.abs(q) > 1e-14
+    lo2 = np.where(lin, np.maximum(lo, np.minimum(c1, c2)), lo)
+    hi2 = np.where(lin, np.minimum(hi, np.maximum(c1, c2)), hi)
+    dead = (~lin) & ((p0 < -1e-12) | (p0 > 1.0 + 1e-12))
+    return lo2, np.where(dead, lo2 - 1.0, hi2)
+
+
+def _group_matvec(X: np.ndarray, e: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """X[:, t] . e_t, taken as one matrix-vector product per run of rows sharing e.
+
+    X is (2, T, 2), two stacks of T rows that arrive in consecutive runs;
+    rows[t] is the length of the run holding t, and e is constant on each run.
+    """
+    out = np.empty(X.shape[:2])
+    for k in np.unique(rows):
+        at = np.nonzero(rows == k)[0]
+        out[:, at] = (X[:, at].reshape(2, -1, k, 2) @ e[at[::k], :, None]).reshape(2, -1)
+    return out
+
+
+_TRIPLE_CAP = 1 << 16  # (c, i, j) edge triples per batch of the triangle search
 
 
 def _triangle_search(d: ConvexDisc):
+    """Every candidate optimal triangle, as (best area, areas, first sides, second sides).
+
+    Candidates come first with both first sides at vertices, then for each
+    closing edge c, pivot edge i and edge j with |E_i . n_c| >= |E_j . n_c|
+    (in C order over (c, i, j)): the first side on edge i, the second at
+    s2 = V_j + tau E_j, and the closing side -(s1 + s2) on edge c.  The
+    closing constraint makes s1 affine in tau, the area a quadratic in tau,
+    and tau runs over an interval; the candidates are its two ends and the
+    stationary point inside it (or its midpoint when the area is constant).
+    The edge triples are batched about _TRIPLE_CAP at a time, so memory
+    never grows with m^3.
+    """
     V = d.vertices
     m = len(V)
     E = np.roll(V, -1, axis=0) - V
     N = d.normals
     scale = d.diameter
-    eps = 1e-12 * scale
-    areas: list[float] = []
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def push(s1, s2):
-        areas.append(0.5 * abs(cross(s1, s2)))
-        pairs.append((np.asarray(s1, float), np.asarray(s2, float)))
+    areaeps = 1e-12 * scale * scale
 
     # both first sides at vertices; closing side must land on the boundary
     S = -(V[:, None, :] + V[None, :, :])
     G = d.gauge_many(S.reshape(-1, 2)).reshape(m, m)
-    for i, j in zip(*np.nonzero(np.abs(G - 1.0) <= 1e-9)):
-        push(V[i], V[j])
+    vi, vj = np.nonzero(np.abs(G - 1.0) <= 1e-9)
+    first, second = [V[vi]], [V[vj]]
 
-    # sides interior to edges i and j, closing side on edge c
+    # sides interior to edges i and j, closing side on edge c.  Each product
+    # is taken by the BLAS call the per-edge form makes (a matrix-vector
+    # product per closing edge, a 1-d dot per pivot edge), so every candidate,
+    # and every lattice built on one, keeps its last bits.
+    B = (E @ N[:, :, None])[..., 0].T  # B[k, c] = E_k . n_c
+    W = (V @ N[:, :, None])[..., 0].T  # W[k, c] = V_k . n_c
+    Wi = (V[:, None, None] @ N[:, :, None])[..., 0, 0]  # the same, as 1-d dots
     ecn = (E * E).sum(axis=1)
-    areaeps = 1e-12 * scale * scale
+    step = max(1, _TRIPLE_CAP // (m * m))
+    for c0 in range(0, m, step):
+        b = np.abs(B[:, c0:c0 + step].T)  # b[c - c0, k] = |E_k . n_c|
+        mask = (b[:, :, None] >= b[:, None, :]) & (b[:, :, None] > 1e-14)
+        c, i, j = np.nonzero(mask)
+        rows = mask.sum(axis=2)[c, i]  # edges j sharing the triple's (c, i)
+        c += c0
+        a = B[i, c]
+        alpha = ((-1.0 - W[j, c]) - Wi[i, c]) / a
+        beta = -B[j, c] / a
+        lo, hi = _clip_interval(alpha, beta, np.zeros(len(a)), np.ones(len(a)))
+        P0 = V[i] + alpha[:, None] * E[i]
+        S0 = -(P0 + V[j])
+        S1 = -(beta[:, None] * E[i] + E[j])
+        rho0, rho1 = _group_matvec(np.stack([S0 - V[c], S1]), E[c], rows) / ecn[c]
+        lo, hi = _clip_interval(rho0, rho1, lo, hi)
+        q1 = cross_many(P0, E[j]) + beta * cross_many(E[i], V[j])
+        q2 = beta * cross_many(E[i], E[j])
+        curved = np.abs(q2) > areaeps
+        st = -q1 / (2.0 * np.where(curved, q2, 1.0))
+        third = np.where(curved, (lo < st) & (st < hi), np.abs(q1) <= areaeps)
+        live = lo <= hi + 1e-12
+        t, slot = np.nonzero(np.stack([live, live, live & third], axis=1))
+        tau = np.stack([lo, hi, np.where(curved, st, 0.5 * (lo + hi))], 1)[t, slot]
+        u = alpha[t] + beta[t] * tau
+        first.append(V[i[t]] + u[:, None] * E[i[t]])
+        second.append(V[j[t]] + tau[:, None] * E[j[t]])
 
-    def _clip_interval(p0, q, lo, hi):
-        """Intersect [lo, hi] with {tau : p0 + q*tau in [0, 1]} elementwise."""
-        safe = np.where(np.abs(q) <= 1e-14, 1.0, q)
-        c1 = (0.0 - p0) / safe
-        c2 = (1.0 - p0) / safe
-        lin = np.abs(q) > 1e-14
-        lo2 = np.where(lin, np.maximum(lo, np.minimum(c1, c2)), lo)
-        hi2 = np.where(lin, np.minimum(hi, np.maximum(c1, c2)), hi)
-        dead = (~lin) & ((p0 < -1e-12) | (p0 > 1.0 + 1e-12))
-        return lo2, np.where(dead, lo2 - 1.0, hi2)
+    s1, s2 = np.concatenate(first), np.concatenate(second)
+    areas = 0.5 * np.abs(cross_many(s1, s2))
+    best = float(areas.max()) if len(areas) else 0.0
+    return best, areas, s1, s2
 
-    for c in range(m):
-        nc = N[c]
-        bvec = E @ nc
-        rbase = -1.0 - V @ nc
-        for i in range(m):
-            a = float(bvec[i])
-            mask = (np.abs(a) >= np.abs(bvec)) & (abs(a) > 1e-14)
-            if not mask.any():
-                continue
-            jj = np.nonzero(mask)[0]
-            r = rbase[jj] - float(V[i] @ nc)
-            alpha = r / a
-            beta = -bvec[jj] / a
-            lo = np.zeros(len(jj))
-            hi = np.ones(len(jj))
-            lo, hi = _clip_interval(alpha, beta, lo, hi)
-            P0 = V[i] + alpha[:, None] * E[i]
-            S0 = -(P0 + V[jj])
-            S1 = -(beta[:, None] * E[i] + E[jj])
-            rho0 = (S0 - V[c]) @ E[c] / ecn[c]
-            rho1 = (S1 @ E[c]) / ecn[c]
-            lo, hi = _clip_interval(rho0, rho1, lo, hi)
-            ok = lo <= hi + 1e-12
-            if not ok.any():
-                continue
-            q1 = cross_many(P0, E[jj]) + beta * cross_many(E[i], V[jj])
-            q2 = beta * (E[i, 0] * E[jj, 1] - E[i, 1] * E[jj, 0])
-            for t in np.nonzero(ok)[0]:
-                cands = [lo[t], hi[t]]
-                if abs(q2[t]) > areaeps:
-                    st = -q1[t] / (2.0 * q2[t])
-                    if lo[t] < st < hi[t]:
-                        cands.append(st)
-                elif abs(q1[t]) <= areaeps:
-                    cands.append(0.5 * (lo[t] + hi[t]))
-                for tau in cands:
-                    u = alpha[t] + beta[t] * tau
-                    s1 = V[i] + u * E[i]
-                    s2 = V[jj[t]] + tau * E[jj[t]]
-                    push(s1, s2)
 
-    best = max(areas) if areas else 0.0
-    return best, areas, pairs
+def max_triangle_optimum(d: ConvexDisc) -> tuple[float, list[np.ndarray]]:
+    """delta and the optimal side triples (ties within _REL), deduplicated, in search order.
+
+    One search for both, for callers that need delta and a witness.
+    """
+    best, areas, s1, s2 = _triangle_search(d)
+    near = areas >= best * (1.0 - _REL) - 1e-12
+    sides = np.stack([s1[near], s2[near], -(s1[near] + s2[near])], axis=1)
+    return best, list(sides[_first_unique(sides, d.diameter)])
 
 
 def max_triangle_area(d: ConvexDisc) -> float:
     """Largest area of a triangle with unit sides (exact piecewise enumeration)."""
     if not isinstance(d, ConvexDisc):
         raise GeometryError("max_triangle_area expects a ConvexDisc")
-    best, _, _ = _triangle_search(d)
-    return best
+    return _triangle_search(d)[0]
 
 
 def max_triangle_candidates(d: ConvexDisc) -> list[np.ndarray]:
     """All optimal side triples (ties within 1e-9 relative), deduplicated."""
-    best, areas, pairs = _triangle_search(d)
-    out, seen = [], set()
-    for a, (s1, s2) in zip(areas, pairs):
-        if a < best * (1.0 - _REL) - 1e-12:
-            continue
-        sides = np.vstack([s1, s2, -(s1 + s2)])
-        key = _canonical_sides_key(sides, d.diameter)
-        if key not in seen:
-            seen.add(key)
-            out.append(sides)
-    return out
+    return max_triangle_optimum(d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,49 +337,39 @@ def _anchors(d: ConvexDisc) -> np.ndarray:
 
 
 def _sign_canon(v: np.ndarray) -> np.ndarray:
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        return -v
-    return v
+    """Each (..., 2) vector or its negation, whichever has x > 0, or x = 0 and y >= 0."""
+    flip = (v[..., 0] < 0) | ((v[..., 0] == 0) & (v[..., 1] < 0))
+    return np.where(flip[..., None], -v, v)
 
 
 def _parallelogram_scan(d: ConvexDisc):
     P = _anchors(d)
     C = np.abs(np.outer(P[:, 0], P[:, 1]) - np.outer(P[:, 1], P[:, 0]))
     best = float(C.max())
-    out, seen = [], set()
-    for i, j in zip(*np.nonzero(C >= best * (1.0 - _REL))):
-        if i >= j:
-            continue
-        sides = np.vstack([_sign_canon(P[i]), _sign_canon(P[j])])
-        key = _canonical_sides_key(sides, d.diameter)
-        if key not in seen:
-            seen.add(key)
-            out.append(sides)
-    return best, out
+    i, j = np.nonzero(np.triu(C >= best * (1.0 - _REL), 1))
+    sides = _sign_canon(np.stack([P[i], P[j]], axis=1))
+    return best, list(sides[_first_unique(sides, d.diameter)])
 
 
 def _hexagon_scan(d: ConvexDisc):
+    """F6 over anchor triples i <= j <= k, and the first 64 distinct optimal triples."""
     P = _anchors(d)
     n = len(P)
     C = np.abs(np.outer(P[:, 0], P[:, 1]) - np.outer(P[:, 1], P[:, 0]))
-    best = 0.0
-    for i in range(n):
-        tot = C[i][:, None] + C[i][None, :] + C
-        best = max(best, float(tot.max()))
-    out, seen = [], set()
-    for i in range(n):
-        tot = C[i][:, None] + C[i][None, :] + C
-        for j, kk in zip(*np.nonzero(tot >= best * (1.0 - _REL))):
-            if not (i <= j <= kk):
-                continue
-            sides = np.vstack([_sign_canon(P[i]), _sign_canon(P[j]), _sign_canon(P[kk])])
-            key = _canonical_sides_key(sides, d.diameter)
-            if key not in seen:
-                seen.add(key)
-                out.append(sides)
-            if len(out) >= 64:
-                return best, out
-    return best, out
+
+    def tot(i):  # tot(i)[j, k]: area of the hexagon with sides +-P_i, +-P_j, +-P_k
+        return C[i][:, None] + C[i][None, :] + C
+
+    top = np.array([tot(i).max() for i in range(n)])
+    best = float(top.max())
+    thr = best * (1.0 - _REL)
+    trip = []
+    for i in np.nonzero(top >= thr)[0]:
+        j, k = np.nonzero(np.triu(tot(i) >= thr))
+        keep = j >= i
+        trip.append(np.stack([np.full(int(keep.sum()), i), j[keep], k[keep]], axis=1))
+    sides = _sign_canon(P[np.concatenate(trip)])
+    return best, list(sides[_first_unique(sides, d.diameter)[:64]])
 
 
 def max_parallelogram_candidates(d: ConvexDisc) -> list[np.ndarray]:
@@ -589,14 +609,10 @@ def _pentagon_optimum(d: ConvexDisc):
 
 def max_pentagon_candidates(d: ConvexDisc) -> list[np.ndarray]:
     """All optimal side sets (ties within 1e-9 relative), deduplicated, in angular order."""
-    _, found = _pentagon_optimum(d)
-    out, seen = [], set()
-    for sides in found:
-        key = _canonical_sides_key(sides, d.diameter)
-        if key not in seen:
-            seen.add(key)
-            out.append(sides[np.argsort(np.arctan2(sides[:, 1], sides[:, 0]), kind="stable")])
-    return out
+    found = _pentagon_optimum(d)[1]
+    found = found[_first_unique(found, d.diameter)]
+    order = np.argsort(np.arctan2(found[..., 1], found[..., 0]), axis=1, kind="stable")
+    return list(np.take_along_axis(found, order[..., None], axis=1))
 
 
 # ---------------------------------------------------------------------------

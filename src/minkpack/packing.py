@@ -15,8 +15,10 @@ validation itself).  The subdivision labels its faces as the cycles of
 the half-edge successor permutation and gets every per-face value from
 whole-array reductions, including each face's largest vertex distance
 from the centroid (Subdivision.max_radius), by which measure_stats picks
-the faces inside a window.  scipy is imported on first use, not with the
-package.
+the faces inside a window.  Its crossing check searches touch-edge
+midpoints only out to _touch_crossing_reach, a few touch tolerances: in a
+valid packing two crossing touch edges cannot have their midpoints further
+apart.  scipy is imported on first use, not with the package.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .bounds import BoundsRangeError
 from .extremal import (
     max_hexagon_candidates,
     max_parallelogram_candidates,
-    max_triangle_area,
+    max_triangle_area,  # noqa: F401  unused here; bench/tracing.py still wraps this name
     max_triangle_candidates,
+    max_triangle_optimum,
 )
 from .geometry import ConvexDisc, GeometryError, cross, disc_from_dict, disc_to_dict
 
@@ -377,10 +380,9 @@ def _theorem_frame(d: ConvexDisc):
 
 def _fallback_frame(d: ConvexDisc):
     """Best-effort frame for a non-hexagon disc: anchor on a maximal triangle."""
-    w = 2.0 * d.area / (8.0 * max_triangle_area(d)) - 1.0
-    w = min(1.0, max(0.5, w))
-    tri = max_triangle_candidates(d)[0]
-    a1, a2 = tri[0], tri[1]
+    delta, cands = max_triangle_optimum(d)
+    w = min(1.0, max(0.5, 2.0 * d.area / (8.0 * delta) - 1.0))
+    a1, a2 = cands[0][0], cands[0][1]
     M = np.column_stack([a1, a2 - (w - 1.0) * a1])
     return M, w
 
@@ -635,18 +637,21 @@ def mixed_strip_packing(
 # subdivision
 
 
-def _crossing_pairs(centers: np.ndarray, edges: np.ndarray) -> int:
+def _crossing_pairs(centers: np.ndarray, edges: np.ndarray, reach: float | None = None) -> int:
     """Count proper crossings between edges not sharing an endpoint.
 
-    Two crossing segments have midpoints within half their summed lengths
-    of each other, so a midpoint search out to the longest edge finds
-    every crossing pair.
+    Only edge pairs whose midpoints lie within Euclidean distance reach of
+    each other are tested.  Two crossing segments have midpoints within
+    half their summed lengths of each other, so the default, the longest
+    edge, finds every crossing pair of any segments; build_subdivision
+    passes the far smaller _touch_crossing_reach.
     """
     if len(edges) == 0:
         return 0
     start, end = centers[edges[:, 0]], centers[edges[:, 1]]
     vec = end - start
-    reach = float(np.hypot(vec[:, 0], vec[:, 1]).max()) * (1.0 + 1e-9)
+    if reach is None:
+        reach = float(np.hypot(vec[:, 0], vec[:, 1]).max()) * (1.0 + 1e-9)
     pairs = _close_pairs(0.5 * (start + end), reach)
     e1, e2 = edges[pairs[:, 0]], edges[pairs[:, 1]]
     share = (
@@ -669,6 +674,25 @@ def _crossing_pairs(centers: np.ndarray, edges: np.ndarray) -> int:
     o4 = orient(c, dd, b)
     proper = (o1 * o2 < -eps) & (o3 * o4 < -eps)
     return int(np.count_nonzero(proper))
+
+
+def _touch_crossing_reach(p: Packing) -> float:
+    """Midpoint distance within which two touch edges of a valid packing must lie to cross.
+
+    In a valid packing every center pair has gauge at least 2 - eps and
+    every touch edge gauge within eps of 2 (eps = p.touch_eps).  Let touch
+    edges (i, j) and (k, l), with no shared endpoint, cross at
+    x = c_i + s (c_j - c_i) = c_k + t (c_l - c_k), labelled so that
+    s, t <= 1/2.  Then
+        2 - eps <= ||c_i - c_k|| <= ||c_i - x|| + ||x - c_k|| <= (s + t)(2 + eps),
+    so s + t >= (2 - eps)/(2 + eps) >= 1 - eps and s, t >= 1/2 - eps.  Each
+    midpoint is then within gauge distance (1/2 - s)(2 + eps) <= eps (2 + eps)
+    of x, so the midpoints are within gauge distance 2 eps (2 + eps) of each
+    other: Euclidean distance (4 eps + 2 eps^2) R_out, where R_out is the
+    largest vertex norm of the disc.  The reach is twice that, as a margin.
+    """
+    eps = p.touch_eps
+    return 2.0 * (4.0 * eps + 2.0 * eps * eps) * _outer_radius(p.disc)
 
 
 def _face_cycles(nxt: np.ndarray):
@@ -737,7 +761,7 @@ def build_subdivision(p: Packing, window: float | None = None) -> Subdivision:
     emask = (insel[g.edges[:, 0]] >= 0) & (insel[g.edges[:, 1]] >= 0)
     edges = insel[g.edges[emask]]
     pts = centers[sel]
-    ncross = _crossing_pairs(pts, edges)
+    ncross = _crossing_pairs(pts, edges, _touch_crossing_reach(p))
     if ncross:
         raise PackingInvalidError(f"{ncross} crossing touch-edge pairs in the subdivision")
 
@@ -840,14 +864,12 @@ def measure_stats(p: Packing, R: float) -> PackingStats:
 
 
 def save_packing(p: Packing, path: str) -> None:
-    doc = {
-        "disc": disc_to_dict(p.disc),
-        "centers": [[float(x), float(y)] for x, y in p.centers],
-    }
+    doc = {"disc": disc_to_dict(p.disc), "centers": p.centers.tolist()}
     if p.generator is not None:
         doc["generator"] = p.generator
+    text = json.dumps(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def load_packing(path: str) -> Packing:

@@ -263,3 +263,32 @@ def test_pack_rejects_out_of_range_sizes(capsys, tmp_path, argv):
     assert code == 4
     assert "extent" in err or "strip_width" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--lambda", "abc", "--d0p", "0.8"],
+    ["bound", "--lambda", "5", "--d0p", "abc"],
+    ["sweep", "--lambda", "1,x"],
+    ["sweep", "--lambda", "3:6:abc"],
+    ["sweep", "--lambda", "3:6:4", "--d0p", "abc"],
+    ["hexagon", "--d0p", "abc", "--out", "unused.json"],
+])
+def test_non_numeric_arguments_are_range_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert err.startswith("error:") and "must be a number" in err
+    assert out == ""
+
+
+def test_sweep_rejects_an_oversized_grid_before_allocating(capsys, monkeypatch):
+    from minkpack import cli
+
+    def linspace(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
+    code, out, err = run(capsys, "sweep", "--lambda", "3:6:100000000")
+    assert code == 4
+    assert "lambda grid count" in err
+    assert out == ""
+    assert run(capsys, "sweep", "--lambda", f"3:6:{cli.MAX_GRID_POINTS + 1}")[0] == 4

@@ -1,14 +1,20 @@
+import math
 from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
 from minkpack.bounds import BoundsRangeError
+from minkpack import extremal
 from minkpack.extremal import (
     _FACES,
+    _REL,
     ExtremalProfile,
     _closing_multisets,
     _face_solutions,
+    _first_unique,
+    _group_matvec,
+    _triangle_search,
     _zonotope_closes,
     make_theorem_hexagon,
     max_hexagon_candidates,
@@ -17,6 +23,7 @@ from minkpack.extremal import (
     max_pentagon_candidates,
     max_triangle_area,
     max_triangle_candidates,
+    max_triangle_optimum,
     polygon_from_sides,
     profile,
     sorted_sides_area,
@@ -254,3 +261,170 @@ def test_face_solutions_match_the_lagrange_systems(fault_disc):
                     assert np.allclose(t[b, k], want, rtol=0.0, atol=1e-9)
                     solved += 1
     assert solved > 0.5 * len(T) * 131
+
+
+# --- triangle search and candidate lists -----------------------------------
+
+
+def _reference_key(sides, scale):
+    """The per-set dedup key the batched _first_unique replaced."""
+    digits = 11 if scale <= 0 else max(2, 11 - int(math.floor(math.log10(scale))))
+    return min(tuple(sorted(tuple(round(x, digits) + 0.0 for x in row) for row in sgn * sides))
+               for sgn in (1.0, -1.0))
+
+
+def _reference_dedup(sides, scale):
+    seen, out = set(), []
+    for n, s in enumerate(sides):
+        key = _reference_key(s, scale)
+        if key not in seen:
+            seen.add(key)
+            out.append(n)
+    return out
+
+
+def _reference_triangle_search(d):
+    """The per-candidate loop search the batched _triangle_search replaced: (delta, side pairs).
+
+    It takes every product as the old search did (E @ n_c and V @ n_c per
+    closing edge, V_i @ n_c per pivot edge, one product per (c, i) over its
+    edges j), so the batched search must reproduce it to the last bit.
+    """
+    V, N, m = d.vertices, d.normals, len(d.vertices)
+    E = np.roll(V, -1, axis=0) - V
+    ecn = (E * E).sum(axis=1)
+    areaeps = 1e-12 * d.diameter**2
+    pairs = []
+    G = d.gauge_many(-(V[:, None, :] + V[None, :, :]).reshape(-1, 2)).reshape(m, m)
+    for i, j in zip(*np.nonzero(np.abs(G - 1.0) <= 1e-9)):
+        pairs.append((V[i], V[j]))
+
+    def clip(p0, q, lo, hi):
+        for n in range(len(p0)):
+            if abs(q[n]) > 1e-14:
+                c1, c2 = (0.0 - p0[n]) / q[n], (1.0 - p0[n]) / q[n]
+                lo[n], hi[n] = max(lo[n], min(c1, c2)), min(hi[n], max(c1, c2))
+            elif not -1e-12 <= p0[n] <= 1.0 + 1e-12:
+                hi[n] = lo[n] - 1.0
+
+    for c in range(m):
+        b, rbase = E @ N[c], -1.0 - V @ N[c]
+        for i in range(m):
+            jj = np.nonzero((abs(b[i]) >= np.abs(b)) & (abs(b[i]) > 1e-14))[0]
+            if not len(jj):
+                continue
+            alpha = (rbase[jj] - float(V[i] @ N[c])) / b[i]
+            beta = -b[jj] / b[i]
+            lo, hi = np.zeros(len(jj)), np.ones(len(jj))
+            clip(alpha, beta, lo, hi)
+            P0 = V[i] + alpha[:, None] * E[i]
+            S0, S1 = -(P0 + V[jj]), -(beta[:, None] * E[i] + E[jj])
+            clip((S0 - V[c]) @ E[c] / ecn[c], (S1 @ E[c]) / ecn[c], lo, hi)
+            for t, j in enumerate(jj):
+                if lo[t] > hi[t] + 1e-12:
+                    continue
+                q1 = cross(P0[t], E[j]) + beta[t] * cross(E[i], V[j])
+                q2 = beta[t] * cross(E[i], E[j])
+                taus = [lo[t], hi[t]]
+                if abs(q2) > areaeps:
+                    if lo[t] < -q1 / (2.0 * q2) < hi[t]:
+                        taus.append(-q1 / (2.0 * q2))
+                elif abs(q1) <= areaeps:
+                    taus.append(0.5 * (lo[t] + hi[t]))
+                pairs += [(V[i] + (alpha[t] + beta[t] * tau) * E[i], V[j] + tau * E[j])
+                          for tau in taus]
+    areas = [0.5 * abs(cross(s1, s2)) for s1, s2 in pairs]
+    return max(areas), [p for a, p in zip(areas, pairs) if a >= max(areas) * (1.0 - _REL) - 1e-12]
+
+
+def _fixture_discs():
+    rng = np.random.default_rng(31)
+    discs = [make_theorem_hexagon(t) for t in (0.75, 0.8, 0.875, 0.95, 1.0)]
+    discs += [regular_ngon(n) for n in (6, 8, 12, 24)]
+    return discs + [random_disc(rng, n_pairs=int(rng.integers(3, 7))) for _ in range(20)]
+
+
+@pytest.mark.parametrize("k", range(29))
+def test_triangle_search_matches_the_loop_search(k):
+    d = _fixture_discs()[k]
+    want_delta, want_pairs = _reference_triangle_search(d)
+    want = np.array([[s1, s2, -(s1 + s2)] for s1, s2 in want_pairs])
+    want = want[_reference_dedup(want, d.diameter)]
+    assert max_triangle_area(d) == want_delta
+    assert np.array_equal(np.array(max_triangle_candidates(d)), want)
+
+
+def test_first_unique_matches_the_reference_dedup():
+    rng = np.random.default_rng(5)
+    cases = []
+    for d in _fixture_discs()[::3]:
+        best, areas, s1, s2 = _triangle_search(d)
+        cases.append((np.stack([s1, s2, -(s1 + s2)], axis=1), d.diameter))
+    base = rng.normal(size=(6, 3, 2))
+    twins = np.concatenate([base, -base[:, ::-1], base[:, [1, 2, 0]], base + 1e-14])
+    cases.append((twins[rng.permutation(len(twins))], 2.0))
+    cases.append((np.array([[[0.0, 1.0], [-0.0, -1.0]], [[-0.0, -1.0], [0.0, 1.0]],
+                            [[0.0, 1.0], [0.0, 1.0]]]), 4.0))
+    for sides, scale in cases:
+        assert _first_unique(sides, scale).tolist() == _reference_dedup(sides, scale)
+    assert len(_first_unique(twins, 2.0)) == 6
+
+
+def test_group_matvec_is_one_product_per_run():
+    rng = np.random.default_rng(8)
+    runs = [1, 3, 1, 2, 2, 5, 1]
+    X = rng.normal(size=(2, sum(runs), 2))
+    e = np.repeat(rng.normal(size=(len(runs), 2)), runs, axis=0)
+    rows = np.repeat(runs, runs)
+    want, start = [], 0
+    for k in runs:
+        want.append(np.stack([X[s, start:start + k] @ e[start] for s in (0, 1)]))
+        start += k
+    assert np.array_equal(_group_matvec(X, e, rows), np.concatenate(want, axis=1))
+
+
+def test_triangle_search_batches_do_not_change_the_result(monkeypatch):
+    d = regular_ngon(24)
+    want = _triangle_search(d)
+    monkeypatch.setattr(extremal, "_TRIPLE_CAP", 700)  # batches of one closing edge
+    got = _triangle_search(d)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert np.array_equal(a, b)
+
+
+# delta and the triangle/parallelogram/hexagon candidate counts
+CANDIDATE_TABLE = {
+    "square": (lambda: make_theorem_hexagon(1.0), 0.5, (4, 1, 4)),
+    "hexagon 3/4": (lambda: make_theorem_hexagon(0.75), 0.5, (1, 6, 1)),
+    "hexagon 7/8": (lambda: make_theorem_hexagon(0.875), 0.5, (3, 1, 1)),
+    "regular 6": (lambda: regular_ngon(6), None, (1, 6, 1)),
+    "regular 8": (lambda: regular_ngon(8), None, (4, 2, 8)),
+    "regular 12": (lambda: regular_ngon(12), None, (2, 3, 2)),
+    "regular 24": (lambda: regular_ngon(24), None, (4, 6, 4)),
+    "regular 96": (lambda: regular_ngon(96), 0.4330127018922197, (16, 24, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATE_TABLE))
+def test_candidate_lists_are_frozen_and_optimal(name):
+    make, delta, counts = CANDIDATE_TABLE[name]
+    d = make()
+    if delta is not None:
+        assert max_triangle_area(d) == pytest.approx(delta, rel=1e-14, abs=0.0)
+    lists = {3: max_triangle_candidates(d), 4: max_parallelogram_candidates(d),
+             6: max_hexagon_candidates(d)}
+    assert tuple(len(lists[k]) for k in (3, 4, 6)) == counts
+    best, witnesses = max_triangle_optimum(d)
+    assert best == max_triangle_area(d)
+    assert np.array_equal(np.array(witnesses), np.array(lists[3]))
+    for k, cands in lists.items():
+        best = max_triangle_area(d) if k == 3 else max_kgon_area(d, k)
+        polys = [sides if k == 3 else np.vstack([sides, -sides]) for sides in cands]
+        for sides in polys:
+            assert sides.shape == (k, 2)
+            assert np.abs(sides.sum(axis=0)).max() <= 1e-12 * d.diameter
+            assert np.abs(d.gauge_many(sides) - 1.0).max() <= 1e-9
+            assert best * (1.0 - _REL) - 1e-12 <= sorted_sides_area(sides) <= best * (1.0 + 1e-12)
+        keys = {_reference_key(sides, d.diameter) for sides in cands}
+        assert len(keys) == len(cands)

@@ -46,3 +46,17 @@ def test_profile_leaves_scipy_spatial_and_sparse_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True,
                          check=True).stdout.splitlines()
     assert out == ["0", "[]"]
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # everything imported here is paid before any operation runs
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import minkpack, minkpack.cli\n"
+        "top = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(top - {'minkpack', 'numpy'} - set(sys.stdlib_module_names)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == ["[]"]

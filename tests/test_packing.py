@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from minkpack.bounds import BoundsRangeError
 from minkpack.extremal import make_theorem_hexagon
-from minkpack.geometry import GeometryError, regular_ngon
+from minkpack.geometry import ConvexDisc, GeometryError, disc_to_dict, regular_ngon
 from minkpack.packing import (
     TOUCH_REL,
     Packing,
@@ -15,6 +16,7 @@ from minkpack.packing import (
     Subdivision,
     _crossing_pairs,
     _face_cycles,
+    _touch_crossing_reach,
     build_subdivision,
     check_proposition,
     four_neighbour_lattice,
@@ -235,6 +237,69 @@ def test_crossing_found_at_the_edge_of_the_midpoint_search():
     assert _crossing_pairs(c, edges) == 1
     apart = c + np.array([[0.0, 0.0], [0.0, 0.0], [2e-4, 0.0], [2e-4, 0.0]])
     assert _crossing_pairs(apart, edges) == 0
+
+
+def _subdivision_crossings(p):
+    """Crossings build_subdivision reports (it refuses a packing with any)."""
+    try:
+        build_subdivision(p)
+    except PackingInvalidError as exc:
+        return int(str(exc).split()[0])
+    return 0
+
+
+def test_touch_crossing_reach_finds_every_crossing():
+    # linear images of the square and of its (2Z)^2 lattice, rows slid by 2s:
+    # s in {0, 1} makes both diagonals of every cell touch edges, which cross;
+    # the centers are jittered by up to 0.3 eps in gauge, which keeps every
+    # pair valid and every touch a touch
+    rng = np.random.default_rng(2024)
+    square = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    a, b = np.meshgrid(np.arange(-4, 5), np.arange(-4, 5), indexing="ij")
+    crossed = 0
+    for k in range(60):
+        M = np.eye(2) + 0.4 * rng.uniform(-1.0, 1.0, (2, 2))
+        d = ConvexDisc(square @ M.T)
+        s = (0.0, 1.0, rng.uniform(0.1, 0.9))[k % 3]
+        canon = np.column_stack([2.0 * a.ravel() + 2.0 * s * b.ravel(), 2.0 * b.ravel()])
+        eps = TOUCH_REL * d.diameter
+        smin = float(np.linalg.svd(M, compute_uv=False)[-1])
+        jitter = rng.uniform(0.0, 0.3) * eps * smin
+        ang = rng.uniform(0.0, 2.0 * np.pi, len(canon))
+        r = jitter * np.sqrt(rng.uniform(0.0, 1.0, len(canon)))
+        p = Packing(disc=d, centers=canon @ M.T + r[:, None] * np.column_stack([np.cos(ang), np.sin(ang)]))
+        full = _crossing_pairs(p.centers, neighbour_graph(p).edges)
+        assert _subdivision_crossings(p) == full
+        crossed += full > 0
+    assert crossed == 40
+    for build in (six_neighbour_lattice, four_neighbour_lattice, three_neighbour_honeycomb):
+        p = build(random_disc(np.random.default_rng(7), 10), extent=6)
+        assert _subdivision_crossings(p) == _crossing_pairs(p.centers, neighbour_graph(p).edges) == 0
+
+
+def test_touch_crossing_reach_holds_at_the_widest_crossing():
+    # the two diagonals of a cell of the square's (2L Z)^2 lattice, both
+    # stretched to the longest touch the contact search finds: the crossing
+    # bisects one and cuts the other as far from its midpoint as validity
+    # allows (the closest pairs sit at gauge 2 - 0.9 eps).  For L <= 1 the
+    # midpoints lie about 1.8 eps R_out apart, near the widest any valid
+    # crossing reaches and over a fifth of the reach; at L = 10 the reach
+    # without its factor R_out would miss them
+    square = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    for L in (0.5, 1.0, 10.0):
+        d = ConvexDisc(L * square)
+        eps = TOUCH_REL * d.diameter
+        g = 2.0 + 0.9 * min(eps, 4.0 * TOUCH_REL)  # within the contact cutoff
+        s = (2.0 - 0.9 * eps) / g - 0.5
+        D1, D2 = g * L * np.array([1.0, 1.0]), g * L * np.array([-1.0, 1.0])
+        p = Packing(disc=d, centers=np.array([-s * D1, (1.0 - s) * D1, -0.5 * D2, 0.5 * D2]))
+        edges = neighbour_graph(p).edges  # the near pairs 0-2 and 0-3 touch too
+        assert edges.tolist() == [[0, 1], [0, 2], [0, 3], [2, 3]]
+        reach = _touch_crossing_reach(p)
+        apart = float(np.hypot(*((0.5 - s) * D1)))  # from midpoint to midpoint
+        assert apart > (0.2 if L <= 1.0 else 0.1) * reach
+        assert _subdivision_crossings(p) == 1
+        assert _crossing_pairs(p.centers, edges, 0.99 * apart) == 0
 
 
 def test_face_cycles_match_a_walk():
@@ -476,3 +541,18 @@ def test_load_packing_errors(tmp_path):
     path2.write_text("nope")
     with pytest.raises(GeometryError):
         load_packing(str(path2))
+
+
+def test_save_packing_bytes_match_the_per_center_encoder(tmp_path, hexagon_78):
+    centers = np.array([[-0.0, 1e-300], [1e17, 0.1 + 0.2], [-2.5, 123456789.12345679]])
+    p = Packing(disc=hexagon_78, centers=centers, generator={"kind": "six", "extent": 3})
+    path = tmp_path / "p.json"
+    save_packing(p, str(path))
+    ref = tmp_path / "ref.json"
+    doc = {"disc": disc_to_dict(p.disc), "centers": [[float(x), float(y)] for x, y in p.centers],
+           "generator": p.generator}
+    with open(ref, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert path.read_bytes() == ref.read_bytes()
+    assert "-0.0" in path.read_text() and "1e-300" in path.read_text()
+    assert np.array_equal(load_packing(str(path)).centers, centers)
