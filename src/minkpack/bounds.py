@@ -41,9 +41,14 @@ def _check_lam(lam: float) -> float:
     return min(6.0, max(3.0, lam))
 
 
+def _d0p_in_range(d0p):
+    """True where d0p lies in [3/4, 1] up to _TOL; a float or an array, NaN is out."""
+    return (0.75 - _TOL <= d0p) & (d0p <= 1.0 + _TOL)
+
+
 def _check_d0p(d0p: float) -> float:
     d0p = float(d0p)
-    if not (0.75 - _TOL <= d0p <= 1.0 + _TOL):
+    if not _d0p_in_range(d0p):
         raise BoundsRangeError(f"normalized lattice density {d0p} outside [3/4, 1]")
     return min(1.0, max(0.75, d0p))
 
@@ -66,6 +71,21 @@ class BoundResult:
     branch: Branch
 
 
+def _branch(lam: float, high: bool) -> Branch:
+    if not high:
+        return Branch.LOW_D0
+    return Branch.HIGH_D0_UPPER_LAMBDA if lam >= 4.0 else Branch.HIGH_D0_LOWER_LAMBDA
+
+
+def _branch_value(lam: float, d0, branch: Branch):
+    """Closed form of one branch; plain arithmetic, so d0 may be a float or an array."""
+    if branch is Branch.LOW_D0:
+        return d0 / ((2.0 / 3.0) * d0 * (6.0 - lam) + (lam - 3.0) / 3.0)
+    if branch is Branch.HIGH_D0_UPPER_LAMBDA:
+        return d0 / (2.0 * d0 * (6.0 - lam) + 1.5 * lam - 8.0)
+    return d0 / (2.0 * d0 * (lam - 2.0) - 2.0 * (lam - 3.0))
+
+
 def theorem_lower_bound(q, d0p: float | None = None) -> BoundResult:
     """Density lower bound at a query point.
 
@@ -76,31 +96,18 @@ def theorem_lower_bound(q, d0p: float | None = None) -> BoundResult:
     """
     if d0p is not None:
         q = BoundQuery(q, d0p)
-    lam, d0 = q.lam, q.d0p
-    if d0 <= SEAM_D0:
-        value = d0 / ((2.0 / 3.0) * d0 * (6.0 - lam) + (lam - 3.0) / 3.0)
-        branch = Branch.LOW_D0
-    elif lam >= 4.0:
-        value = d0 / (2.0 * d0 * (6.0 - lam) + 1.5 * lam - 8.0)
-        branch = Branch.HIGH_D0_UPPER_LAMBDA
-    else:
-        value = d0 / (2.0 * d0 * (lam - 2.0) - 2.0 * (lam - 3.0))
-        branch = Branch.HIGH_D0_LOWER_LAMBDA
-    return BoundResult(value=float(value), branch=branch)
+    branch = _branch(q.lam, q.d0p > SEAM_D0)
+    return BoundResult(value=float(_branch_value(q.lam, q.d0p, branch)), branch=branch)
 
 
 def theorem_value_array(lam: float, d0p) -> np.ndarray:
     """Vectorized bound over an array of d0p values at fixed lam."""
     lam = _check_lam(lam)
     d0 = np.asarray(d0p, dtype=float)
-    if np.any(d0 < 0.75 - _TOL) or np.any(d0 > 1.0 + _TOL):
+    if not np.all(_d0p_in_range(d0)):
         raise BoundsRangeError("d0p grid leaves [3/4, 1]")
-    low = d0 / ((2.0 / 3.0) * d0 * (6.0 - lam) + (lam - 3.0) / 3.0)
-    if lam >= 4.0:
-        high = d0 / (2.0 * d0 * (6.0 - lam) + 1.5 * lam - 8.0)
-    else:
-        high = d0 / (2.0 * d0 * (lam - 2.0) - 2.0 * (lam - 3.0))
-    return np.where(d0 <= SEAM_D0, low, high)
+    low = _branch_value(lam, d0, Branch.LOW_D0)
+    return np.where(d0 <= SEAM_D0, low, _branch_value(lam, d0, _branch(lam, True)))
 
 
 def corollary1_bound(lam: float) -> float:

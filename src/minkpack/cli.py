@@ -22,7 +22,7 @@ from .bounds import (
     minimize_bound_over_d0,
     theorem_lower_bound,
 )
-from .extremal import make_theorem_hexagon, max_triangle_area, profile
+from .extremal import d0p_of, make_theorem_hexagon, max_triangle_area, profile
 from .geometry import GeometryError, load_disc, save_disc
 from .oracle import grid_max_kgon, grid_max_triangle
 from .packing import (
@@ -133,7 +133,7 @@ def cmd_bound(args) -> int:
         d0p = _number(args.d0p, "--d0p")
     elif args.disc:
         d = load_disc(args.disc)
-        d0p = d.area / (8.0 * max_triangle_area(d))
+        d0p = d0p_of(d.area, max_triangle_area(d))
     else:
         raise BoundsRangeError("bound needs --d0p or --disc")
     if args.lam is None:
@@ -206,7 +206,7 @@ def cmd_analyze(args) -> int:
     if not rep["ok"]:
         print(f"error: packing invalid ({len(rep['violations'])} overlapping pairs)", file=sys.stderr)
         return 3
-    d0p = p.disc.area / (8.0 * max_triangle_area(p.disc))
+    d0p = d0p_of(p.disc.area, max_triangle_area(p.disc))
     radii = [_number(t, "--radius") for t in str(args.radius).split(",") if t.strip()]
     if not radii:
         raise BoundsRangeError("analyze needs --radius R[,R2,...]")

@@ -651,6 +651,16 @@ class ExtremalProfile:
             raise GeometryError(f"normalized lattice density {self.d0p} outside [3/4, 1]")
 
 
+def d0p_of(area: float, delta: float) -> float:
+    """Normalized lattice density d0p = A/(8*delta), the one number the bound sees of a disc."""
+    return area / (8.0 * delta)
+
+
+def hexagon_w(d0p: float) -> float:
+    """Side:diagonal ratio w = 2*d0p - 1 of the equality hexagon, d0p clamped to [3/4, 1]."""
+    return 2.0 * min(1.0, max(0.75, d0p)) - 1.0
+
+
 def profile(d: ConvexDisc) -> ExtremalProfile:
     """Compute area, triangle optimum, k-gon optima and d0p = A/(8*delta)."""
     delta = max_triangle_area(d)
@@ -664,7 +674,7 @@ def profile(d: ConvexDisc) -> ExtremalProfile:
         f4=f4,
         f5=f5,
         f6=f6,
-        d0p=d.area / (8.0 * delta),
+        d0p=d0p_of(d.area, delta),
     )
 
 
@@ -678,7 +688,7 @@ def make_theorem_hexagon(d0p: float) -> ConvexDisc:
     d0p = float(d0p)
     if not (0.75 - 1e-12 <= d0p <= 1.0 + 1e-12):
         raise BoundsRangeError(f"d0p {d0p} outside [3/4, 1]")
-    w = 2.0 * min(1.0, max(0.75, d0p)) - 1.0
+    w = hexagon_w(d0p)
     return ConvexDisc(
         [(1.0, 0.0), (w, 1.0), (-w, 1.0), (-1.0, 0.0), (-w, -1.0), (w, -1.0)]
     )

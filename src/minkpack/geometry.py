@@ -14,12 +14,6 @@ import json
 
 import numpy as np
 
-# A point or direction in the plane, stored as a length-2 float array.
-Vec2 = np.ndarray
-
-# Polygons are (n, 2) float arrays of vertices in boundary order.
-Polygon = np.ndarray
-
 REL_TOL = 1e-9
 
 
@@ -64,12 +58,6 @@ def signed_area(vertices) -> float:
 def polygon_area(p) -> float:
     """Unsigned polygon area, orientation independent."""
     return abs(signed_area(_vertex_array(p)))
-
-
-def apply_linear(mat, pts) -> np.ndarray:
-    """Image of points (or a single point) under a 2x2 linear map."""
-    m = np.asarray(mat, dtype=float)
-    return np.asarray(pts, dtype=float) @ m.T
 
 
 def convex_hull(points) -> np.ndarray:
@@ -207,21 +195,6 @@ class ConvexDisc:
     def vertex_parameters(self) -> np.ndarray:
         """Arc-length parameters of the vertices, vertex 0 at t = 0."""
         return self._cum[:-1] / self.perimeter
-
-
-def gauge_norm(d: ConvexDisc, v) -> float:
-    """min{t >= 0 : v in t*D}; positively homogeneous and symmetric in v."""
-    if not isinstance(d, ConvexDisc):
-        raise GeometryError("gauge_norm needs a ConvexDisc")
-    return d.gauge(v)
-
-
-def boundary_point(d: ConvexDisc, t: float) -> np.ndarray:
-    """Point of the disc boundary at normalized perimeter parameter t."""
-    t = float(t)
-    if not (0.0 <= t < 1.0):
-        raise GeometryError(f"boundary parameter must lie in [0, 1), got {t}")
-    return d.boundary_points(np.array([t]))[0]
 
 
 def _sum_support(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:

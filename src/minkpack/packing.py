@@ -8,11 +8,17 @@ are calibrated for the equality hexagon family (vertices (+-1,0),
 (+-w,+-1)); the gauge there is max(|x| + (1-w)|y|, |y|), which is what
 all the touch bookkeeping below is derived from.
 
-Each packing gets one contact pass: a cKDTree pair search and one gauge
-evaluation, cached on the packing, from which validate_packing and
-neighbour_graph both read (a valid packing's graph is cached by the
-validation itself).  The subdivision labels its faces as the cycles of
-the half-edge successor permutation and gets every per-face value from
+A Packing is immutable (a frozen dataclass over a read-only copy of its
+centers), so what is cached on it stays valid.  Each packing gets one
+contact pass: a cKDTree pair search out to (2 + touch eps) R_out, the
+furthest a touch reaches, and one gauge evaluation, cached on the packing,
+from which validate_packing and neighbour_graph both read (a valid
+packing's graph is cached by the validation itself).  The six- and
+four-neighbour lattices share one body, every lattice generator picks
+its basis with _pick_basis, and the best-effort strip frame takes d0p and
+w from extremal.d0p_of and extremal.hexagon_w.  The subdivision always
+covers the whole packing.  It labels its faces as the cycles of the
+half-edge successor permutation and gets every per-face value from
 whole-array reductions, including each face's largest vertex distance
 from the centroid (Subdivision.max_radius), by which measure_stats picks
 the faces inside a window.  Its crossing check searches touch-edge
@@ -32,6 +38,8 @@ import numpy as np
 
 from .bounds import BoundsRangeError
 from .extremal import (
+    d0p_of,
+    hexagon_w,
     max_hexagon_candidates,
     max_parallelogram_candidates,
     max_triangle_area,  # noqa: F401  unused here; bench/tracing.py still wraps this name
@@ -49,27 +57,35 @@ class PackingInvalidError(ValueError):
     """Overlapping translates, crossing touch edges, or an impossible request."""
 
 
-@dataclass
+def _touch_eps(d: ConvexDisc) -> float:
+    """Gauge tolerance of a touch: |gauge - 2| <= TOUCH_REL * diameter."""
+    return TOUCH_REL * d.diameter
+
+
+@dataclass(frozen=True, eq=False)
 class Packing:
+    """Translates of disc at centers, a read-only copy, so what _cache holds stays valid."""
+
     disc: ConvexDisc
     centers: np.ndarray
     generator: dict | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         try:
-            c = np.asarray(self.centers, dtype=float)
+            c = np.array(self.centers, dtype=float)
         except (TypeError, ValueError) as exc:
             raise GeometryError(f"centers must be numbers: {exc}") from exc
         if c.ndim != 2 or c.shape[1] != 2 or len(c) == 0:
             raise GeometryError("centers must be a nonempty (n, 2) array")
         if not np.all(np.isfinite(c)):
             raise GeometryError("center coordinates must be finite")
-        self.centers = c
+        c.setflags(write=False)
+        object.__setattr__(self, "centers", c)
 
     @property
     def touch_eps(self) -> float:
-        return TOUCH_REL * self.disc.diameter
+        return _touch_eps(self.disc)
 
 
 @dataclass
@@ -121,6 +137,11 @@ def _outer_radius(d: ConvexDisc) -> float:
     return float(np.sqrt((d.vertices**2).sum(axis=1)).max())
 
 
+def _contact_cutoff(d: ConvexDisc) -> float:
+    """Euclidean reach of a touch: gauge <= 2 + touch eps, and |v| <= gauge(v) R_out."""
+    return (2.0 + _touch_eps(d)) * _outer_radius(d)
+
+
 def _contacts(p: Packing):
     """(I, J, gauge) of every center pair I < J that could touch, sorted by (I, J).
 
@@ -129,8 +150,7 @@ def _contacts(p: Packing):
     """
     if "contacts" in p._cache:
         return p._cache["contacts"]
-    cutoff = (2.0 + 4.0 * TOUCH_REL) * _outer_radius(p.disc)
-    pairs = _close_pairs(p.centers, cutoff)
+    pairs = _close_pairs(p.centers, _contact_cutoff(p.disc))
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     I, J = pairs[:, 0], pairs[:, 1]
     g = p.disc.gauge_many(p.centers[I] - p.centers[J])
@@ -188,6 +208,7 @@ def _check_extent(extent) -> None:
 
 
 def _lattice_points(g1, g2, extent: int) -> np.ndarray:
+    """a g1 + b g2 for integers |a|, |b| <= extent, a major; the origin is the middle row."""
     a = np.arange(-extent, extent + 1)
     A, B = np.meshgrid(a, a, indexing="ij")
     return A.reshape(-1, 1) * g1 + B.reshape(-1, 1) * g2
@@ -202,7 +223,7 @@ def _lattice_covered_radius(g1, g2, extent: int) -> float:
 
 def _touch_profile(d: ConvexDisc, vecs: np.ndarray, expected: int):
     """(extra touches, validity, margin) of the gauge-2 shell in a vector list."""
-    eps = TOUCH_REL * d.diameter
+    eps = _touch_eps(d)
     g = d.gauge_many(vecs)
     if np.any(g < 2.0 - eps):
         return (np.inf, False, 0.0)
@@ -212,57 +233,50 @@ def _touch_profile(d: ConvexDisc, vecs: np.ndarray, expected: int):
     return (int(np.count_nonzero(touching)) - expected, True, margin)
 
 
-def _pick_lattice_basis(d: ConvexDisc, bases: list, expected: int):
-    """Least extra gauge-2 coincidences, then largest margin, then first."""
-    best_key, best = None, None
-    for idx, (g1, g2) in enumerate(bases):
-        rng = np.arange(-4, 5)
-        A, B = np.meshgrid(rng, rng, indexing="ij")
-        mask = (A != 0) | (B != 0)
-        vecs = A[mask].reshape(-1, 1) * g1 + B[mask].reshape(-1, 1) * g2
-        extra, valid, margin = _touch_profile(d, vecs, expected)
-        if not valid:
-            continue
-        key = (extra, -margin, idx)
-        if best_key is None or key < best_key:
-            best_key, best = key, (g1, g2)
-    if best is None:
-        raise PackingInvalidError("no valid lattice basis among the optimizer candidates")
-    return best
+def _pick_basis(options: list, touch_profile, what: str):
+    """The valid option with least extra gauge-2 coincidences, then largest margin, then first.
+
+    touch_profile(option) gives (extra touches, validity, margin).
+    """
+    keys = []
+    for idx, option in enumerate(options):
+        extra, valid, margin = touch_profile(option)
+        if valid:
+            keys.append((extra, -margin, idx))
+    if not keys:
+        raise PackingInvalidError(f"no valid {what} basis among the optimizer candidates")
+    return options[min(keys)[2]]
+
+
+def _lattice(d: ConvexDisc, extent: int, kind: str, candidates, expected: int) -> Packing:
+    """Lattice 2a, 2b on the best of the side pairs (a, b) of candidates(d), scored
+    over the nonzero lattice vectors with coefficients in [-4, 4]."""
+    _check_extent(extent)
+    bases = [(2.0 * c[0], 2.0 * c[1]) for c in candidates(d)]
+
+    def profile(basis):
+        lat = _lattice_points(*basis, 4)
+        return _touch_profile(d, np.delete(lat, len(lat) // 2, axis=0), expected)
+
+    g1, g2 = _pick_basis(bases, profile, "lattice")
+    gen = {
+        "kind": kind,
+        "basis": [list(map(float, g1)), list(map(float, g2))],
+        "extent": int(extent),
+        "cell_density": d.area / abs(cross(g1, g2)),
+        "covered_radius": _lattice_covered_radius(g1, g2, extent),
+    }
+    return Packing(disc=d, centers=_lattice_points(g1, g2, extent), generator=gen)
 
 
 def six_neighbour_lattice(d: ConvexDisc, extent: int = 20) -> Packing:
     """Lattice 2a, 2b from a maximal unit-sided triangle; cell density A/(8*delta)."""
-    _check_extent(extent)
-    cands = max_triangle_candidates(d)
-    bases = [(2.0 * t[0], 2.0 * t[1]) for t in cands]
-    g1, g2 = _pick_lattice_basis(d, bases, expected=6)
-    centers = _lattice_points(g1, g2, extent)
-    gen = {
-        "kind": "six",
-        "basis": [list(map(float, g1)), list(map(float, g2))],
-        "extent": int(extent),
-        "cell_density": d.area / abs(cross(g1, g2)),
-        "covered_radius": _lattice_covered_radius(g1, g2, extent),
-    }
-    return Packing(disc=d, centers=centers, generator=gen)
+    return _lattice(d, extent, "six", max_triangle_candidates, expected=6)
 
 
 def four_neighbour_lattice(d: ConvexDisc, extent: int = 20) -> Packing:
     """Lattice 2p, 2q from a maximal unit-sided parallelogram; density A/(4*F4)."""
-    _check_extent(extent)
-    cands = max_parallelogram_candidates(d)
-    bases = [(2.0 * c[0], 2.0 * c[1]) for c in cands]
-    g1, g2 = _pick_lattice_basis(d, bases, expected=4)
-    centers = _lattice_points(g1, g2, extent)
-    gen = {
-        "kind": "four",
-        "basis": [list(map(float, g1)), list(map(float, g2))],
-        "extent": int(extent),
-        "cell_density": d.area / abs(cross(g1, g2)),
-        "covered_radius": _lattice_covered_radius(g1, g2, extent),
-    }
-    return Packing(disc=d, centers=centers, generator=gen)
+    return _lattice(d, extent, "four", max_parallelogram_candidates, expected=4)
 
 
 def three_neighbour_honeycomb(d: ConvexDisc, extent: int = 20) -> Packing:
@@ -272,51 +286,39 @@ def three_neighbour_honeycomb(d: ConvexDisc, extent: int = 20) -> Packing:
     are 2u1, -2u2, 2u3; the sign alternation is what closes the hexagonal
     circuit.  Density A/(2*F6); degree exactly 3 for hexagon discs, more
     when extra gauge-2 coincidences occur (reported by the graph, not an
-    error).
+    error).  covered_radius is clamped at 0: on a thin disc the offset can
+    exceed the covered radius of the lattice.
     """
     _check_extent(extent)
-    cands = max_hexagon_candidates(d)
     options = []
-    for triple in cands:
+    for triple in max_hexagon_candidates(d):
         ang = np.arctan2(triple[:, 1], triple[:, 0])
         u1, u2, u3 = triple[np.argsort(ang, kind="stable")]
         e1, e2, e3 = 2.0 * u1, -2.0 * u2, 2.0 * u3
-        g1 = e1 - e2
-        g2 = e3 - e2
-        off = e1
-        options.append((g1, g2, off))
-    eps = TOUCH_REL * d.diameter
-    best_key, best = None, None
-    for idx, (g1, g2, off) in enumerate(options):
+        options.append((e1 - e2, e3 - e2, e1))
+
+    def profile(option):
+        g1, g2, off = option
         if abs(cross(g1, g2)) < 1e-12 * d.diameter**2:
-            continue
-        rng = np.arange(-3, 4)
-        A, B = np.meshgrid(rng, rng, indexing="ij")
-        lat = A.reshape(-1, 1) * g1 + B.reshape(-1, 1) * g2
-        mask = np.any(lat != 0.0, axis=1)
-        same = lat[mask]
-        between = np.vstack([lat + off, lat - off])
+            return (np.inf, False, 0.0)
+        lat = _lattice_points(g1, g2, 3)
+        same = lat[np.any(lat != 0.0, axis=1)]
         extra1, valid1, m1 = _touch_profile(d, same, 0)
-        extra2, valid2, m2 = _touch_profile(d, between, 3)
-        if not (valid1 and valid2):
-            continue
-        key = (extra1 + extra2, -min(m1, m2), idx)
-        if best_key is None or key < best_key:
-            best_key, best = key, (g1, g2, off)
-    if best is None:
-        raise PackingInvalidError("no valid honeycomb basis among the optimizer candidates")
-    g1, g2, off = best
+        extra2, valid2, m2 = _touch_profile(d, np.vstack([lat + off, lat - off]), 3)
+        return (extra1 + extra2, valid1 and valid2, min(m1, m2))
+
+    g1, g2, off = _pick_basis(options, profile, "honeycomb")
     lat = _lattice_points(g1, g2, extent)
-    centers = np.vstack([lat, lat + off])
+    covered = _lattice_covered_radius(g1, g2, extent) - float(np.hypot(*off))
     gen = {
         "kind": "honeycomb",
         "basis": [list(map(float, g1)), list(map(float, g2))],
         "offset": list(map(float, off)),
         "extent": int(extent),
         "cell_density": 2.0 * d.area / abs(cross(g1, g2)),
-        "covered_radius": _lattice_covered_radius(g1, g2, extent) - float(np.hypot(*off)),
+        "covered_radius": max(0.0, covered),
     }
-    return Packing(disc=d, centers=centers, generator=gen)
+    return Packing(disc=d, centers=np.vstack([lat, lat + off]), generator=gen)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +383,7 @@ def _theorem_frame(d: ConvexDisc):
 def _fallback_frame(d: ConvexDisc):
     """Best-effort frame for a non-hexagon disc: anchor on a maximal triangle."""
     delta, cands = max_triangle_optimum(d)
-    w = min(1.0, max(0.5, 2.0 * d.area / (8.0 * delta) - 1.0))
+    w = hexagon_w(d0p_of(d.area, delta))
     a1, a2 = cands[0][0], cands[0][1]
     M = np.column_stack([a1, a2 - (w - 1.0) * a1])
     return M, w
@@ -610,7 +612,7 @@ def mixed_strip_packing(
     scale = 1.0
     if frame is None:
         # best-effort frame gives no touch guarantees; dilate to validity
-        pairs = _close_pairs(mapped, (2.0 + 4.0 * TOUCH_REL) * _outer_radius(d))
+        pairs = _close_pairs(mapped, _contact_cutoff(d))
         if len(pairs):
             gmin = float(d.gauge_many(mapped[pairs[:, 0]] - mapped[pairs[:, 1]]).min())
             if gmin < 2.0:
@@ -736,31 +738,21 @@ def _face_cycles(nxt: np.ndarray):
     return label, seq, offsets
 
 
-def build_subdivision(p: Packing, window: float | None = None) -> Subdivision:
+def build_subdivision(p: Packing) -> Subdivision:
     """Faces of the straight-line graph on centers with touch edges.
 
     Faces come from the rotation system: at each vertex the neighbours are
     sorted by angle and face traversal turns to the next edge clockwise
     from the reversed one, which walks every bounded face counterclockwise.
     Boundary flags mark the outer face and faces reaching near the edge of
-    the generated region (or the given window).
+    the generated region.
     """
-    cache_key = ("subdivision", None if window is None else round(float(window), 9))
+    cache_key = ("subdivision", None)  # the key bench/tracing.py reads
     if cache_key in p._cache:
         return p._cache[cache_key]
-    g = neighbour_graph(p)
-    centers = p.centers
-    c0 = centers.mean(axis=0)
-    rad = np.hypot(*(centers - c0).T)
-    if window is None:
-        sel = np.arange(len(centers))
-    else:
-        sel = np.nonzero(rad <= float(window))[0]
-    insel = np.full(len(centers), -1, dtype=np.int64)
-    insel[sel] = np.arange(len(sel))
-    emask = (insel[g.edges[:, 0]] >= 0) & (insel[g.edges[:, 1]] >= 0)
-    edges = insel[g.edges[emask]]
-    pts = centers[sel]
+    edges = neighbour_graph(p).edges
+    pts = p.centers
+    rad = np.hypot(*(pts - pts.mean(axis=0)).T)
     ncross = _crossing_pairs(pts, edges, _touch_crossing_reach(p))
     if ncross:
         raise PackingInvalidError(f"{ncross} crossing touch-edge pairs in the subdivision")
@@ -789,10 +781,8 @@ def build_subdivision(p: Packing, window: float | None = None) -> Subdivision:
     shoelace = pts[src, 0] * vec[:, 1] - pts[src, 1] * vec[:, 0]
     signed = 0.5 * np.bincount(label, weights=shoelace, minlength=nf)
     corner = src[seq]
-    rsel = rad[sel]
-    max_radius = np.maximum.reduceat(rsel[corner], offsets[:-1]) if nf else np.empty(0)
-    margin = 3.0 * p.disc.diameter
-    reach = (float(window) if window is not None else float(rad.max())) - margin
+    max_radius = np.maximum.reduceat(rad[corner], offsets[:-1]) if nf else np.empty(0)
+    reach = float(rad.max()) - 3.0 * p.disc.diameter
     outerish = signed <= 1e-12 * max(1.0, p.disc.diameter**2)
     polys = pts[corner]
     cuts = offsets.tolist()

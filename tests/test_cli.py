@@ -1,11 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from minkpack.cli import main
+from minkpack.extremal import make_theorem_hexagon
 from minkpack.geometry import save_disc
 from minkpack.packing import Packing, load_packing, save_packing
+from minkpack.random_shapes import random_disc
 
 
 def run(capsys, *argv):
@@ -292,3 +295,148 @@ def test_sweep_rejects_an_oversized_grid_before_allocating(capsys, monkeypatch):
     assert "lambda grid count" in err
     assert out == ""
     assert run(capsys, "sweep", "--lambda", f"3:6:{cli.MAX_GRID_POINTS + 1}")[0] == 4
+
+
+# --- golden output ----------------------------------------------------------
+
+# Exact stdout and exit code of fixed invocations.  The byte-determinism
+# tests above compare two runs of the same code; these values pin what the
+# code prints, so a refactor of the bound, d0p or lattice code that moves
+# any printed digit fails here.  Both mixed packings fail the proposition
+# check by design: a half-and-half six+honeycomb mix grows seven-sided seam
+# cells, and the random disc's best-effort strip frame keeps no touches.
+_GOLDEN = {
+    "profile square": (0, (
+        "quantity,value\n"
+        "area,4\n"
+        "delta,0.5\n"
+        "f3,0.5\n"
+        "f4,2\n"
+        "f5,2.5\n"
+        "f6,4\n"
+        "d0p,1\n"
+        "slack_f4_cap,0\n"
+        "slack_f5_chord,0.5\n"
+        "slack_f6_cap,0\n"
+    )),
+    "profile hex34": (0, (
+        "quantity,value\n"
+        "area,3\n"
+        "delta,0.5\n"
+        "f3,0.5\n"
+        "f4,1\n"
+        "f5,1.625\n"
+        "f6,3\n"
+        "d0p,0.75\n"
+        "slack_f4_cap,0\n"
+        "slack_f5_chord,0.375\n"
+        "slack_f6_cap,0\n"
+    )),
+    "profile rand10": (0, (
+        "quantity,value\n"
+        "area,2.44391194058\n"
+        "delta,0.327911635237\n"
+        "f3,0.327911635237\n"
+        "f4,0.985610245778\n"
+        "f5,1.43106320483\n"
+        "f6,2.3408775719\n"
+        "d0p,0.931619862625\n"
+        "slack_f4_cap,0.146655153853\n"
+        "slack_f5_chord,0.232180704013\n"
+        "slack_f6_cap,0.103034368678\n"
+    )),
+    "bound square": (0, (
+        "lambda,d0p,branch,bound,corollary1,corollary2\n"
+        "4.5,1,HIGH_D0_UPPER_LAMBDA,0.571428571429,0.571428571429,0.571428571429\n"
+    )),
+    "bound hex34": (0, (
+        "lambda,d0p,branch,bound,corollary1,corollary2\n"
+        "4.5,0.75,LOW_D0,0.6,0.571428571429,0.571428571429\n"
+    )),
+    "bound rand10": (0, (
+        "lambda,d0p,branch,bound,corollary1,corollary2\n"
+        "4.5,0.931619862625,HIGH_D0_UPPER_LAMBDA,0.603045008062,0.571428571429,0.571428571429\n"
+    )),
+    "sweep": (0, (
+        "lambda,d0p,branch,bound,corollary1,corollary2\n"
+        "3,0.763921520937,LOW_D0,0.5,0.5,0.5\n"
+        "3.25,0.99999999996,HIGH_D0_LOWER_LAMBDA,0.500000000005,0.5,0.5\n"
+        "3.5,0.99999999996,HIGH_D0_LOWER_LAMBDA,0.50000000001,0.5,0.5\n"
+        "3.75,0.99999999996,HIGH_D0_LOWER_LAMBDA,0.500000000015,0.5,0.5\n"
+        "4,0.99999999996,HIGH_D0_UPPER_LAMBDA,0.50000000002,0.5,0.5\n"
+        "4.25,0.99999999996,HIGH_D0_UPPER_LAMBDA,0.533333333352,0.533333333333,0.533333333333\n"
+        "4.5,0.99999999996,HIGH_D0_UPPER_LAMBDA,0.571428571445,0.571428571429,0.571428571429\n"
+        "4.75,0.99999999996,HIGH_D0_UPPER_LAMBDA,0.615384615398,0.615384615385,0.615384615385\n"
+        "5,0.75000000004,LOW_D0,0.642857142877,0.642857142857,0.666666666667\n"
+        "5.25,0.75000000004,LOW_D0,0.66666666669,0.666666666667,0.727272727273\n"
+        "5.5,0.75000000004,LOW_D0,0.692307692336,0.692307692308,0.8\n"
+        "5.75,0.75000000004,LOW_D0,0.720000000034,0.72,0.888888888889\n"
+        "6,0.75000000004,LOW_D0,0.75000000004,0.75,1\n"
+    )),
+    "analyze hex80 six": (0, (
+        "R,lambda_hat,density_hat,avg_sides_hat,ratio_hat,bound,slack\n"
+        "3,6,0.792237938946,3,1.16666666667,0.8,-0.00776206105368\n"
+        "5,6,0.774129643199,3,0.791666666667,0.8,-0.025870356801\n"
+        "proposition,pass,offending_cells,0\n"
+    )),
+    "analyze hex80 four": (0, (
+        "R,lambda_hat,density_hat,avg_sides_hat,ratio_hat,bound,slack\n"
+        "3,4,0.792237938946,4,3.5,0.571428571429,0.220809367518\n"
+        "5,4,0.774129643199,4,1.9,0.571428571429,0.20270107177\n"
+        "proposition,pass,offending_cells,0\n"
+    )),
+    "analyze hex80 honeycomb": (0, (
+        "R,lambda_hat,density_hat,avg_sides_hat,ratio_hat,bound,slack\n"
+        "3,3,0.452707393684,nan,nan,0.5,-0.0472926063164\n"
+        "5,3,0.488923985178,6,6,0.5,-0.0110760148217\n"
+        "proposition,pass,offending_cells,0\n"
+    )),
+    "analyze hex80 mixed:six+honeycomb": (3, (
+        "R,lambda_hat,density_hat,avg_sides_hat,ratio_hat,bound,slack\n"
+        "3,5,0.679061090525,3,1.5,0.666666666667,0.0123944238588\n"
+        "5,4.375,0.651898646904,3.28571428571,1.14285714286,0.603773584906,0.0481250619987\n"
+        "proposition,fail,offending_cells,53\n"
+    )),
+    "analyze rand10 mixed:six+four": (3, (
+        "R,lambda_hat,density_hat,avg_sides_hat,ratio_hat,bound,slack\n"
+        "3,2.75,0.691485628132,nan,nan,0.5,0.191485628132\n"
+        "5,3.10526315789,0.591220212053,4,6.33333333333,0.503893194645,0.087327017408\n"
+        "proposition,fail,offending_cells,82\n"
+    )),
+}
+
+_GOLDEN_DISCS = {
+    "square": lambda: make_theorem_hexagon(1.0),
+    "hex34": lambda: make_theorem_hexagon(0.75),
+    "hex80": lambda: make_theorem_hexagon(0.8),
+    "rand10": lambda: random_disc(np.random.default_rng(7), 7),  # 10 vertices
+}
+
+
+def _golden_argv(name, tmp_path, capsys):
+    cmd, *rest = name.split(" ")
+    if cmd == "sweep":
+        return ["sweep", "--lambda", "3:6:13"]
+    disc = str(tmp_path / (rest[0] + ".json"))
+    save_disc(_GOLDEN_DISCS[rest[0]](), disc)
+    if cmd == "profile":
+        return ["profile", "--disc", disc]
+    if cmd == "bound":
+        return ["bound", "--lambda", "4.5", "--disc", disc]
+    gen = rest[1]
+    packfile = str(tmp_path / "pack.json")
+    size = ["--extent", "8"]
+    if gen.startswith("mixed:"):
+        size = ["--fraction", "0.5", "--strip-width", "4", "--extent", "24"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # best-effort strip frame of the random disc
+        assert run(capsys, "pack", "--disc", disc, "--generator", gen, *size,
+                   "--out", packfile)[0] == 0
+    return ["analyze", packfile, "--radius", "3,5"]
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_golden_output(capsys, tmp_path, name):
+    argv = _golden_argv(name, tmp_path, capsys)
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == _GOLDEN[name]

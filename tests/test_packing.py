@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -7,8 +8,15 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from minkpack.bounds import BoundsRangeError
-from minkpack.extremal import make_theorem_hexagon
-from minkpack.geometry import ConvexDisc, GeometryError, disc_to_dict, regular_ngon
+from minkpack.extremal import d0p_of, make_theorem_hexagon, max_triangle_area
+from minkpack.geometry import (
+    ConvexDisc,
+    GeometryError,
+    centrosymmetrize,
+    disc_to_dict,
+    polygon_area,
+    regular_ngon,
+)
 from minkpack.packing import (
     TOUCH_REL,
     Packing,
@@ -83,11 +91,39 @@ def test_packing_rejects_non_finite_centers(hexagon_34, bad):
         Packing(disc=hexagon_34, centers=np.array([[0.0, 0.0], [bad, 0.0], [4.0, 0.0]]))
 
 
+def test_packing_is_immutable(square):
+    src = np.array([[0.0, 0.0], [2.0, 0.0]])
+    p = Packing(disc=square, centers=src)
+    assert len(neighbour_graph(p).edges) == 1
+    src[1] = [1.0, 0.0]  # the packing holds its own copy
+    assert p.centers.tolist() == [[0.0, 0.0], [2.0, 0.0]]
+    with pytest.raises(ValueError):
+        p.centers[1, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.centers = src
+    assert validate_packing(p)["ok"] and len(neighbour_graph(p).edges) == 1
+
+
+def test_touch_on_a_large_disc_is_found():
+    # on a disc of diameter above 4 a touch can sit at a gauge beyond
+    # 2 + 4 TOUCH_REL; along a vertex direction gauge 2 + 0.9 eps is
+    # Euclidean distance (2 + 0.9 eps) R_out, which the pair search must reach
+    d = ConvexDisc([(10.0, 10.0), (-10.0, 10.0), (-10.0, -10.0), (10.0, -10.0)])
+    t = 2.0 + 0.9 * TOUCH_REL * d.diameter
+    p = Packing(disc=d, centers=np.array([[0.0, 0.0], [10.0 * t, 10.0 * t]]))
+    assert d.gauge(p.centers[1]) > 2.0 + 4.0 * TOUCH_REL
+    assert neighbour_graph(p).edges.tolist() == [[0, 1]]
+    assert validate_packing(p)["pairs_checked"] == 1
+
+
 def _brute_contacts(p):
-    """(pairs within the contact cutoff, touching pairs i < j) by an all-pairs scan."""
+    """(pairs within the contact cutoff, touching pairs i < j) by an all-pairs scan.
+
+    A touch has gauge at most 2 + touch_eps, so it lies within (2 + touch_eps) R_out.
+    """
     I, J = np.triu_indices(len(p.centers), k=1)
     d = p.centers[I] - p.centers[J]
-    cutoff = (2.0 + 4.0 * TOUCH_REL) * float(np.hypot(*p.disc.vertices.T).max())
+    cutoff = (2.0 + p.touch_eps) * float(np.hypot(*p.disc.vertices.T).max())
     near = (d * d).sum(axis=1) <= cutoff * cutoff
     touch = np.abs(p.disc.gauge_many(d[near]) - 2.0) <= p.touch_eps
     return int(near.sum()), np.column_stack([I[near][touch], J[near][touch]])
@@ -96,6 +132,7 @@ def _brute_contacts(p):
 _CONTACT_DISCS = {
     "family": lambda: make_theorem_hexagon(0.8),
     "square": lambda: make_theorem_hexagon(1.0),
+    "square10": lambda: ConvexDisc(10.0 * make_theorem_hexagon(1.0).vertices),
     "random10": lambda: random_disc(np.random.default_rng(5), 5),
 }
 _CONTACT_BUILDS = {
@@ -159,6 +196,14 @@ def test_four_lattice_density(hexagon_78, square):
     assert p.generator["cell_density"] == pytest.approx(7.0 / 12.0, abs=1e-9)
     q = four_neighbour_lattice(square)
     assert q.generator["cell_density"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_honeycomb_covered_radius_is_not_negative():
+    # on a thin hexagon the honeycomb offset is longer than the covered
+    # radius of its lattice at this extent
+    thin = ConvexDisc([(1.0, 0.0), (0.5, 0.02), (-0.5, 0.02), (-1.0, 0.0), (-0.5, -0.02),
+                       (0.5, -0.02)])
+    assert three_neighbour_honeycomb(thin, extent=8).generator["covered_radius"] == 0.0
 
 
 def test_honeycomb_degree_and_density(hexagon_34, hexagon_78, square):
@@ -279,9 +324,9 @@ def test_touch_crossing_reach_finds_every_crossing():
 
 def test_touch_crossing_reach_holds_at_the_widest_crossing():
     # the two diagonals of a cell of the square's (2L Z)^2 lattice, both
-    # stretched to the longest touch the contact search finds: the crossing
-    # bisects one and cuts the other as far from its midpoint as validity
-    # allows (the closest pairs sit at gauge 2 - 0.9 eps).  For L <= 1 the
+    # stretched to gauge 2 + 0.9 eps, near the longest touch there is: the
+    # crossing bisects one and cuts the other as far from its midpoint as
+    # validity allows (the closest pairs sit at gauge 2 - 0.9 eps).  The
     # midpoints lie about 1.8 eps R_out apart, near the widest any valid
     # crossing reaches and over a fifth of the reach; at L = 10 the reach
     # without its factor R_out would miss them
@@ -289,7 +334,7 @@ def test_touch_crossing_reach_holds_at_the_widest_crossing():
     for L in (0.5, 1.0, 10.0):
         d = ConvexDisc(L * square)
         eps = TOUCH_REL * d.diameter
-        g = 2.0 + 0.9 * min(eps, 4.0 * TOUCH_REL)  # within the contact cutoff
+        g = 2.0 + 0.9 * eps
         s = (2.0 - 0.9 * eps) / g - 0.5
         D1, D2 = g * L * np.array([1.0, 1.0]), g * L * np.array([-1.0, 1.0])
         p = Packing(disc=d, centers=np.array([-s * D1, (1.0 - s) * D1, -0.5 * D2, 0.5 * D2]))
@@ -297,7 +342,7 @@ def test_touch_crossing_reach_holds_at_the_widest_crossing():
         assert edges.tolist() == [[0, 1], [0, 2], [0, 3], [2, 3]]
         reach = _touch_crossing_reach(p)
         apart = float(np.hypot(*((0.5 - s) * D1)))  # from midpoint to midpoint
-        assert apart > (0.2 if L <= 1.0 else 0.1) * reach
+        assert apart > 0.2 * reach
         assert _subdivision_crossings(p) == 1
         assert _crossing_pairs(p.centers, edges, 0.99 * apart) == 0
 
@@ -345,14 +390,10 @@ def test_face_values_match_their_rings(build):
             assert s.boundary[f]
 
 
-def _euler_sides(p, s, window=None):
+def _euler_sides(p, s):
     """(V - E + F, 2C + I) of a subdivision, C and I from csgraph."""
-    rad = np.hypot(*(p.centers - p.centers.mean(axis=0)).T)
-    keep = rad <= window if window is not None else np.ones(len(rad), dtype=bool)
-    index = np.cumsum(keep) - 1
     e = neighbour_graph(p).edges
-    e = index[e[keep[e].all(axis=1)]]
-    nv = int(keep.sum())
+    nv = len(p.centers)
     assert s.vertex_count == nv
     deg = np.bincount(e.ravel(), minlength=nv)
     adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
@@ -395,17 +436,6 @@ def test_euler_relation(request, case):
         p = build(request.getfixturevalue(fixture) if fixture else None)
     lhs, rhs = _euler_sides(p, build_subdivision(p))
     assert lhs == rhs
-    if case.startswith("six:"):
-        lhs, rhs = _euler_sides(p, build_subdivision(p, window=10.0), window=10.0)
-        assert lhs == rhs
-
-
-def test_subdivision_window_subset(hexagon_78):
-    p = six_neighbour_lattice(hexagon_78)
-    s_all = build_subdivision(p)
-    s_win = build_subdivision(p, window=10.0)
-    assert s_win.vertex_count <= s_all.vertex_count
-    assert len(s_win.faces) < len(s_all.faces)
 
 
 # --- proposition check ------------------------------------------------------
@@ -517,6 +547,25 @@ def test_density_approaches_cell_density(hexagon_78):
     want = p.generator["cell_density"]
     assert s2.density_hat == pytest.approx(want, rel=0.05)
     assert abs(s2.density_hat - want) <= abs(s1.density_hat - want) + 0.01
+
+
+def test_triangle_packing_density_three_sevenths():
+    # translates of a triangle K pack as translates of (K - K)/2 do, an
+    # affine regular hexagon of area 3/2 |K| with d0p = 3/4; its lambda = 5
+    # equality packing, density 9/14, gives K the density 9/14 * 2/3 = 3/7
+    K = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+    d = centrosymmetrize(K)
+    assert len(d.vertices) == 6
+    assert d.area == pytest.approx(1.5 * polygon_area(K), rel=1e-12)
+    assert d0p_of(d.area, max_triangle_area(d)) == pytest.approx(0.75, abs=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an equality hexagon: no best-effort frame
+        p = mixed_strip_packing(d, "six", "honeycomb", 2.0 / 3.0, strip_width=4)
+    assert p.generator["w"] == pytest.approx(0.5, abs=1e-9)
+    assert validate_packing(p)["ok"]
+    st = measure_stats(p, 0.9 * p.generator["covered_radius"])
+    assert st.lambda_hat == pytest.approx(5.0, abs=0.05)
+    assert (2.0 / 3.0) * st.density_hat == pytest.approx(3.0 / 7.0, rel=0.02)
 
 
 # --- io ---------------------------------------------------------------------
