@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -222,16 +223,17 @@ def concave_profile(prof, s: float) -> float:
 def density_bound_from_profile(d, lam: float) -> float:
     """Bound reassembled from the proof pieces: ratio * A / (4 * conc(s)).
 
-    `d` may be a disc (profiled on the fly) or an object already carrying
-    `area` and `delta`.  The factor 4 converts unit-sided extremal areas
-    to cell areas, since subdivision edges have gauge length 2.
+    `d` may be a disc, of which only delta is computed, or an object
+    already carrying `area` and `delta`.  The factor 4 converts unit-sided
+    extremal areas to cell areas, since subdivision edges have gauge
+    length 2.
     """
     lam = _check_lam(lam)
     if hasattr(d, "area") and hasattr(d, "delta"):
         prof = d
     else:
-        from .extremal import profile
+        from .extremal import max_triangle_area
 
-        prof = profile(d)
+        prof = SimpleNamespace(area=d.area, delta=max_triangle_area(d))
     s = avg_sides(lam)
     return vertex_polygon_ratio(lam) * float(prof.area) / (4.0 * concave_profile(prof, s))

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: profile, bound, sweep, hexagon, pack, analyze, render.
-Exit codes: 0 ok, 2 invalid input, 3 invariant/validity failure, 4 range
-error.  All CSV output uses '.' decimals and 12 significant digits, so a
-fixed invocation is byte-reproducible.
+Exit codes: 0 ok, 2 invalid input or a file that cannot be written, 3
+invariant/validity failure, 4 range error.  All CSV output uses '.'
+decimals and 12 significant digits, so a fixed invocation is
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -274,21 +275,22 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="minkpack")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, disc=False, packing=False):
-        if disc:
-            sp.add_argument("--disc", required=False, help="disc JSON file")
+    def common(sp, *, disc=None, packing=False):
+        """disc: None for no --disc option, else whether --disc is required."""
+        if disc is not None:
+            sp.add_argument("--disc", required=disc, help="disc JSON file")
         if packing:
             sp.add_argument("packing", help="packing JSON file")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--tol", type=float, default=1e-6, help="slack tolerance")
 
     sp = sub.add_parser("profile", help="extremal profile of a disc")
     common(sp, disc=True)
     sp.add_argument("--oracle", action="store_true", help="also print grid-oracle values")
+    sp.add_argument("--tol", type=float, default=1e-6, help="slack tolerance")
     sp.set_defaults(fn=cmd_profile)
 
     sp = sub.add_parser("bound", help="lower bound at one (lambda, d0p)")
-    common(sp, disc=True)
+    common(sp, disc=False)
     sp.add_argument("--lambda", dest="lam", default=None)
     sp.add_argument("--d0p", default=None)
     sp.set_defaults(fn=cmd_bound)
@@ -327,7 +329,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except GeometryError as exc:
+    except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PackingInvalidError as exc:

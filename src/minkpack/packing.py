@@ -13,18 +13,19 @@ centers), so what is cached on it stays valid.  Each packing gets one
 contact pass: a cKDTree pair search out to (2 + touch eps) R_out, the
 furthest a touch reaches, and one gauge evaluation, cached on the packing,
 from which validate_packing and neighbour_graph both read (a valid
-packing's graph is cached by the validation itself).  The six- and
-four-neighbour lattices share one body, every lattice generator picks
-its basis with _pick_basis, and the best-effort strip frame takes d0p and
-w from extremal.d0p_of and extremal.hexagon_w.  The subdivision always
-covers the whole packing.  It labels its faces as the cycles of the
-half-edge successor permutation and gets every per-face value from
-whole-array reductions, including each face's largest vertex distance
-from the centroid (Subdivision.max_radius), by which measure_stats picks
-the faces inside a window.  Its crossing check searches touch-edge
-midpoints only out to _touch_crossing_reach, a few touch tolerances: in a
-valid packing two crossing touch edges cannot have their midpoints further
-apart.  scipy is imported on first use, not with the package.
+packing's graph is cached by the validation itself).  The six-, four-
+and three-neighbour packings are built and scored by one builder,
+_lattice, and the best-effort strip frame takes d0p and w from
+extremal.d0p_of and extremal.hexagon_w.  The subdivision always covers
+the whole packing.  It labels its faces as the cycles of the half-edge
+successor permutation in one doubling pass (_face_cycles) and gets every
+per-face value from whole-array reductions, including each face's largest
+vertex distance from the centroid (Subdivision.max_radius), by which
+measure_stats picks the faces inside a window.  Its crossing check
+searches touch-edge midpoints only out to _touch_crossing_reach, a few
+touch tolerances: in a valid packing two crossing touch edges cannot have
+their midpoints further apart.  scipy serves only the cKDTree pair
+searches and is imported on first use, not with the package.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class Subdivision:
     boundary: np.ndarray
     vertex_count: int
     disc: ConvexDisc
-    max_radius: np.ndarray | None = None
+    max_radius: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -233,50 +234,56 @@ def _touch_profile(d: ConvexDisc, vecs: np.ndarray, expected: int):
     return (int(np.count_nonzero(touching)) - expected, True, margin)
 
 
-def _pick_basis(options: list, touch_profile, what: str):
-    """The valid option with least extra gauge-2 coincidences, then largest margin, then first.
+def _lattice(d: ConvexDisc, extent: int, kind: str, options: list, expected: int, span: int) -> Packing:
+    """Lattice g1, g2, plus its translate by offset when there is one, on the
+    best of the options (g1, g2, offset).
 
-    touch_profile(option) gives (extra touches, validity, margin).
+    An option is scored by _touch_profile over the nonzero lattice vectors
+    with coefficients in [-span, span] and, with an offset, that lattice
+    moved by +-offset: the valid option with least extra gauge-2
+    coincidences wins, then the largest margin, then the first.  A
+    degenerate basis is never valid.
     """
     keys = []
-    for idx, option in enumerate(options):
-        extra, valid, margin = touch_profile(option)
+    for idx, (g1, g2, off) in enumerate(options):
+        if abs(cross(g1, g2)) < 1e-12 * d.diameter**2:
+            continue
+        lat = _lattice_points(g1, g2, span)
+        vecs = lat[np.any(lat != 0.0, axis=1)]
+        if off is not None:
+            vecs = np.vstack([vecs, lat + off, lat - off])
+        extra, valid, margin = _touch_profile(d, vecs, expected)
         if valid:
             keys.append((extra, -margin, idx))
     if not keys:
+        what = "honeycomb" if kind == "honeycomb" else "lattice"
         raise PackingInvalidError(f"no valid {what} basis among the optimizer candidates")
-    return options[min(keys)[2]]
-
-
-def _lattice(d: ConvexDisc, extent: int, kind: str, candidates, expected: int) -> Packing:
-    """Lattice 2a, 2b on the best of the side pairs (a, b) of candidates(d), scored
-    over the nonzero lattice vectors with coefficients in [-4, 4]."""
-    _check_extent(extent)
-    bases = [(2.0 * c[0], 2.0 * c[1]) for c in candidates(d)]
-
-    def profile(basis):
-        lat = _lattice_points(*basis, 4)
-        return _touch_profile(d, np.delete(lat, len(lat) // 2, axis=0), expected)
-
-    g1, g2 = _pick_basis(bases, profile, "lattice")
-    gen = {
-        "kind": kind,
-        "basis": [list(map(float, g1)), list(map(float, g2))],
-        "extent": int(extent),
-        "cell_density": d.area / abs(cross(g1, g2)),
-        "covered_radius": _lattice_covered_radius(g1, g2, extent),
-    }
-    return Packing(disc=d, centers=_lattice_points(g1, g2, extent), generator=gen)
+    g1, g2, off = options[min(keys)[2]]
+    lat = _lattice_points(g1, g2, extent)
+    covered = _lattice_covered_radius(g1, g2, extent)
+    gen = {"kind": kind, "basis": [list(map(float, g1)), list(map(float, g2))]}
+    if off is not None:
+        gen["offset"] = list(map(float, off))
+        lat = np.vstack([lat, lat + off])
+        covered -= float(np.hypot(*off))
+    gen["extent"] = int(extent)
+    gen["cell_density"] = (1 if off is None else 2) * d.area / abs(cross(g1, g2))
+    gen["covered_radius"] = max(0.0, covered)
+    return Packing(disc=d, centers=lat, generator=gen)
 
 
 def six_neighbour_lattice(d: ConvexDisc, extent: int = 20) -> Packing:
     """Lattice 2a, 2b from a maximal unit-sided triangle; cell density A/(8*delta)."""
-    return _lattice(d, extent, "six", max_triangle_candidates, expected=6)
+    _check_extent(extent)
+    options = [(2.0 * c[0], 2.0 * c[1], None) for c in max_triangle_candidates(d)]
+    return _lattice(d, extent, "six", options, expected=6, span=4)
 
 
 def four_neighbour_lattice(d: ConvexDisc, extent: int = 20) -> Packing:
     """Lattice 2p, 2q from a maximal unit-sided parallelogram; density A/(4*F4)."""
-    return _lattice(d, extent, "four", max_parallelogram_candidates, expected=4)
+    _check_extent(extent)
+    options = [(2.0 * c[0], 2.0 * c[1], None) for c in max_parallelogram_candidates(d)]
+    return _lattice(d, extent, "four", options, expected=4, span=4)
 
 
 def three_neighbour_honeycomb(d: ConvexDisc, extent: int = 20) -> Packing:
@@ -296,29 +303,7 @@ def three_neighbour_honeycomb(d: ConvexDisc, extent: int = 20) -> Packing:
         u1, u2, u3 = triple[np.argsort(ang, kind="stable")]
         e1, e2, e3 = 2.0 * u1, -2.0 * u2, 2.0 * u3
         options.append((e1 - e2, e3 - e2, e1))
-
-    def profile(option):
-        g1, g2, off = option
-        if abs(cross(g1, g2)) < 1e-12 * d.diameter**2:
-            return (np.inf, False, 0.0)
-        lat = _lattice_points(g1, g2, 3)
-        same = lat[np.any(lat != 0.0, axis=1)]
-        extra1, valid1, m1 = _touch_profile(d, same, 0)
-        extra2, valid2, m2 = _touch_profile(d, np.vstack([lat + off, lat - off]), 3)
-        return (extra1 + extra2, valid1 and valid2, min(m1, m2))
-
-    g1, g2, off = _pick_basis(options, profile, "honeycomb")
-    lat = _lattice_points(g1, g2, extent)
-    covered = _lattice_covered_radius(g1, g2, extent) - float(np.hypot(*off))
-    gen = {
-        "kind": "honeycomb",
-        "basis": [list(map(float, g1)), list(map(float, g2))],
-        "offset": list(map(float, off)),
-        "extent": int(extent),
-        "cell_density": 2.0 * d.area / abs(cross(g1, g2)),
-        "covered_radius": max(0.0, covered),
-    }
-    return Packing(disc=d, centers=np.vstack([lat, lat + off]), generator=gen)
+    return _lattice(d, extent, "honeycomb", options, expected=3, span=3)
 
 
 # ---------------------------------------------------------------------------
@@ -701,40 +686,44 @@ def _face_cycles(nxt: np.ndarray):
     """The cycles of the half-edge permutation nxt, one per face.
 
     Returns (label, seq, offsets): the face of each half-edge, the
-    half-edges listed face by face (each face from its smallest half-edge
-    on, following nxt), and where each face starts in seq, plus the total.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    half-edges listed face by face (faces in order of their smallest
+    half-edge, each from that half-edge on, following nxt), and where each
+    face starts in seq, plus the total.
 
+    One doubling pass: after k rounds low[h] is the smallest half-edge among
+    h and its next 2^k - 1 successors and dist[h] the number of steps from h
+    to it.  The pass stops in the first round that changes no low, that is
+    when low[h] <= low[jump[h]] for every h, jump being the 2^k-th
+    successor.  Then low is nondecreasing along each orbit of jump, which
+    is a cycle, so it is constant there; the windows of length 2^k starting
+    on one such orbit cover the whole face, so that constant is the face's
+    smallest half-edge.
+    """
     nd = len(nxt)
-    h = np.arange(nd)
-    nf, label = connected_components(
-        csr_matrix((np.ones(nd, dtype=np.int8), (h, nxt)), shape=(nd, nd)),
-        directed=True,
-        connection="weak",
-    )
-    sides = np.bincount(label, minlength=nf)
-    offsets = np.concatenate([[0], np.cumsum(sides)])
-    first = np.full(nf, nd)
-    np.minimum.at(first, label, h)
-    # cut each cycle before its first half-edge, then rank by pointer
-    # jumping: left[h] counts the steps from h to the end of its face
-    prev = np.empty_like(nxt)
-    prev[nxt] = h
-    last = prev[first]
-    succ = nxt.copy()
-    succ[last] = last
-    left = np.ones(nd, dtype=np.int64)
-    left[last] = 0
+    low = np.arange(nd)
+    dist = np.zeros(nd, dtype=np.int64)
+    jump, step = nxt, 1
     while True:
-        jump = succ[succ]
-        if np.array_equal(jump, succ):
+        ahead = low[jump]
+        moved = np.flatnonzero(ahead < low)
+        if len(moved) == 0:
             break
-        left += left[succ]
-        succ = jump
+        low[moved] = ahead[moved]
+        dist[moved] = step + dist[jump[moved]]
+        jump, step = jump[jump], 2 * step
+    del ahead, jump  # each array here is one int64 per half-edge: keep few alive
+    first = low == np.arange(nd)
+    label = (np.cumsum(first) - 1)[low]
+    sides = np.bincount(label, minlength=int(np.count_nonzero(first)))
+    offsets = np.concatenate([[0], np.cumsum(sides)])
+    # dist becomes each half-edge's place in seq: (sides - dist) mod sides
+    # steps after its face's first half-edge
+    size = sides[label]
+    np.subtract(size, dist, out=dist)
+    dist %= size
+    dist += offsets[label]
     seq = np.empty(nd, dtype=np.int64)
-    seq[offsets[label] + sides[label] - 1 - left] = h
+    seq[dist] = np.arange(nd)
     return label, seq, offsets
 
 

@@ -4,10 +4,9 @@ invertible linear maps, and closed unit-sided polygons."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .extremal import UnitSidedPolygon, polygon_from_sides
-from .geometry import ConvexDisc, GeometryError, is_simple_polygon
+from .geometry import ConvexDisc, GeometryError, convex_hull, is_simple_polygon
 
 
 def random_disc(rng: np.random.Generator, n_pairs: int | None = None) -> ConvexDisc:
@@ -18,9 +17,8 @@ def random_disc(rng: np.random.Generator, n_pairs: int | None = None) -> ConvexD
         pts = pts * (0.4 + rng.random(2) * 1.6)
         pts = np.vstack([pts, -pts])
         try:
-            hull = ConvexHull(pts)
-            return ConvexDisc(pts[hull.vertices])
-        except Exception:
+            return ConvexDisc(convex_hull(pts))
+        except GeometryError:
             continue
     raise GeometryError("failed to sample a valid centrosymmetric disc")
 

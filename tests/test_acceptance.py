@@ -285,6 +285,7 @@ def test_criterion_7_proposition(capsys, hexagon_34, hexagon_78, square):
             boundary=np.array([False]),
             vertex_count=7,
             disc=hexagon_78,
+            max_radius=np.array([1.0]),
         )
         ok, bad = check_proposition(seven)
         assert not ok and bad == [0]

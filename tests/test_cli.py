@@ -297,6 +297,45 @@ def test_sweep_rejects_an_oversized_grid_before_allocating(capsys, monkeypatch):
     assert run(capsys, "sweep", "--lambda", f"3:6:{cli.MAX_GRID_POINTS + 1}")[0] == 4
 
 
+@pytest.mark.parametrize("cmd", ["profile", "pack"])
+def test_disc_is_required(capsys, tmp_path, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--out", str(tmp_path / "x.out")])
+    assert exc.value.code == 2
+    assert "--disc" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_tol_is_a_profile_option(capsys, square_file):
+    assert run(capsys, "profile", "--disc", square_file, "--tol", "1e-3")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--lambda", "5", "--d0p", "0.8", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["profile", "bound", "sweep", "hexagon", "pack", "analyze", "render"])
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, square_file, cmd):
+    packfile = str(tmp_path / "pack.json")
+    row = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+    save_packing(Packing(disc=make_theorem_hexagon(0.875), centers=row), packfile)
+    argv = {
+        "profile": ["--disc", square_file],
+        "bound": ["--lambda", "5", "--d0p", "0.8"],
+        "sweep": ["--lambda", "3:6:4"],
+        "hexagon": ["--d0p", "0.8"],
+        "pack": ["--disc", square_file, "--extent", "2"],
+        "analyze": [packfile, "--radius", "1"],
+        "render": [packfile],
+    }[cmd]
+    bad = tmp_path / "absent" / "x.out"
+    code, out, err = run(capsys, cmd, *argv, "--out", str(bad))
+    assert code == 2
+    assert err.startswith("error:") and "absent" in err
+    assert out == ""
+    assert not bad.parent.exists()
+
+
 # --- golden output ----------------------------------------------------------
 
 # Exact stdout and exit code of fixed invocations.  The byte-determinism

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 
 import minkpack
+from minkpack.extremal import make_theorem_hexagon
 from minkpack.geometry import ConvexDisc, save_disc
+from minkpack.packing import save_packing, six_neighbour_lattice
 
 
 def _env():
@@ -60,3 +62,20 @@ def test_import_loads_only_numpy_and_the_standard_library():
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True,
                          check=True).stdout.splitlines()
     assert out == ["[]"]
+
+
+def test_analyze_leaves_scipy_csgraph_unloaded(tmp_path):
+    # the subdivision labels its faces with numpy alone; scipy.sparse itself
+    # comes with the cKDTree of the contact pass, so csgraph is the check
+    path = str(tmp_path / "pack.json")
+    save_packing(six_neighbour_lattice(make_theorem_hexagon(0.875), extent=6), path)
+    code = (
+        "import sys\n"
+        "from minkpack.cli import main\n"
+        f"code = main(['analyze', {path!r}, '--radius', '3', '--out', {str(tmp_path / 'a.csv')!r}])\n"
+        "print(code)\n"
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.sparse.csgraph') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == ["0", "['scipy.spatial']"]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import warnings
 
@@ -366,6 +367,50 @@ def test_face_cycles_match_a_walk():
         assert np.all(label[face] == f)
 
 
+def _face_cycles_reference(nxt):
+    """_face_cycles by scipy's weak components and a walk from each face's smallest half-edge."""
+    nd = len(nxt)
+    h = np.arange(nd)
+    nf, label = connected_components(coo_matrix((np.ones(nd), (h, nxt)), shape=(nd, nd)),
+                                     directed=True, connection="weak")
+    seq, offsets = [], [0]
+    for f in range(nf):
+        start = walk = int(h[label == f][0])
+        while True:
+            seq.append(walk)
+            walk = int(nxt[walk])
+            if walk == start:
+                break
+        offsets.append(len(seq))
+    return label, seq, offsets
+
+
+def _one_cycle(n, rng):
+    order = rng.permutation(n)
+    nxt = np.empty(n, dtype=np.int64)
+    nxt[order] = np.roll(order, -1)
+    return nxt
+
+
+_PERMUTATIONS = {
+    "empty": lambda rng: np.arange(0),
+    "identity": lambda rng: np.arange(37),
+    **{f"one cycle of {n}": (lambda rng, n=n: _one_cycle(n, rng))
+       for k in (0, 1, 3, 6, 9) for n in (2**k, 2**k + 1)},
+    **{f"random {n}": (lambda rng, n=n: rng.permutation(n)) for n in (2, 3, 64, 1000, 4097)},
+}
+
+
+@pytest.mark.parametrize("name", list(_PERMUTATIONS))
+def test_face_cycles_match_scipy_components(name):
+    nxt = _PERMUTATIONS[name](np.random.default_rng(11))
+    label, seq, offsets = _face_cycles(nxt)
+    want_label, want_seq, want_offsets = _face_cycles_reference(nxt)
+    assert label.tolist() == want_label.tolist()
+    assert seq.tolist() == want_seq
+    assert offsets.tolist() == want_offsets
+
+
 @pytest.mark.parametrize("build", [
     lambda: three_neighbour_honeycomb(make_theorem_hexagon(0.8), extent=8),
     lambda: mixed_strip_packing(make_theorem_hexagon(0.9), "six", "four", 0.5,
@@ -458,6 +503,7 @@ def test_proposition_rejects_seven_sided_cell(hexagon_78):
         boundary=np.array([False]),
         vertex_count=7,
         disc=hexagon_78,
+        max_radius=np.array([1.0]),
     )
     ok, bad = check_proposition(s)
     assert not ok and bad == [0]
@@ -605,3 +651,149 @@ def test_save_packing_bytes_match_the_per_center_encoder(tmp_path, hexagon_78):
     assert path.read_bytes() == ref.read_bytes()
     assert "-0.0" in path.read_text() and "1e-300" in path.read_text()
     assert np.array_equal(load_packing(str(path)).centers, centers)
+
+
+# --- golden generator outputs ------------------------------------------------
+
+# The generator dict (keys in order) and the sha256 of the centers' bytes
+# of each pure generator at extent 6, frozen from the code before the three
+# generators shared one builder, so any change in the chosen basis, offset
+# or center order fails here.
+_GOLDEN_DISCS = {
+    "square": lambda: make_theorem_hexagon(1.0),
+    "hex34": lambda: make_theorem_hexagon(0.75),
+    "hex78": lambda: make_theorem_hexagon(0.875),
+    "octagon": lambda: regular_ngon(8),
+    "dodecagon": lambda: regular_ngon(12),
+    "rand10": lambda: random_disc(np.random.default_rng(7), 7),  # test_cli's 10-gon
+    "thin": lambda: ConvexDisc(np.array([(1.0, 0.0), (0.5, 0.02), (-0.5, 0.02), (-1.0, 0.0),
+                                         (-0.5, -0.02), (0.5, -0.02)])),
+}
+_GOLDEN_BUILDERS = {"six": six_neighbour_lattice, "four": four_neighbour_lattice,
+                    "honeycomb": three_neighbour_honeycomb}
+
+_GOLDEN_GENERATORS = {
+    ("square", "six"): (
+        "16c8ce4ac35cc064f8f293e8e8285bc7fd651a172e94d78712cecc992b4eb9a8",
+        {"kind": "six", "basis": [[-2.0, 0.0], [1.0, -2.0]], "extent": 6, "cell_density": 1.0,
+         "covered_radius": 10.722393165706992},
+    ),
+    ("square", "four"): (
+        "0a561f90ac8c6e590b929d207ea74476ef8ebf9e783a83054302077acad8701f",
+        {"kind": "four", "basis": [[2.0, 2.0], [2.0, -2.0]], "extent": 6, "cell_density": 0.5,
+         "covered_radius": 16.953592185728663},
+    ),
+    ("square", "honeycomb"): (
+        "7a4fd865bed84a0d72c8eea84c87caa4a91ef1e55819306580814aaae6af4137",
+        {"kind": "honeycomb", "basis": [[4.0, 0.0], [2.0, 4.0]], "offset": [2.0, -2.0],
+         "extent": 6, "cell_density": 0.5, "covered_radius": 18.61635920666779},
+    ),
+    ("hex34", "six"): (
+        "b8b6136b109c07238fb7dd0f6aea01cb0acfe401f5cbdb4f6ede8a7afb23fe29",
+        {"kind": "six", "basis": [[2.0, 0.0], [-1.0, 2.0]], "extent": 6, "cell_density": 0.75,
+         "covered_radius": 10.722393165706992},
+    ),
+    ("hex34", "four"): (
+        "1cfdb87e6ab15c063d69ece3386950693c4da038d2ea24eed849158aed717fa7",
+        {"kind": "four", "basis": [[2.0, 0.0], [0.0, 2.0]], "extent": 6, "cell_density": 0.75,
+         "covered_radius": 11.988},
+    ),
+    ("hex34", "honeycomb"): (
+        "c6c7f272a894d82ff0e601d5cc7a407bd297f8e2b5f001d6d7ec61064988d2a9",
+        {"kind": "honeycomb", "basis": [[3.0, -2.0], [3.0, 2.0]], "offset": [1.0, -2.0],
+         "extent": 6, "cell_density": 0.5, "covered_radius": 17.713169879544353},
+    ),
+    ("hex78", "six"): (
+        "901dd157b7b22ab0e3d5b4994f3a00c72dbeef33f9dd14736a61169ce610c2ac",
+        {"kind": "six", "basis": [[-1.0, 2.0], [-1.0, -2.0]], "extent": 6,
+         "cell_density": 0.875, "covered_radius": 10.722393165706992},
+    ),
+    ("hex78", "four"): (
+        "4cf3cdeb9b29400ab44c3f449cad46a0bb487d7da57db039e56fa7cf5fbd7519",
+        {"kind": "four", "basis": [[1.5, 2.0], [1.5, -2.0]], "extent": 6,
+         "cell_density": 0.5833333333333334, "covered_radius": 14.3856},
+    ),
+    ("hex78", "honeycomb"): (
+        "46359ba4de7ce5494637219e345b531a7c8cf8125c15bc9d329c1ada22481146",
+        {"kind": "honeycomb", "basis": [[3.5, -2.0], [3.5, 2.0]], "offset": [1.5, -2.0],
+         "extent": 6, "cell_density": 0.5, "covered_radius": 18.316997575576035},
+    ),
+    ("octagon", "six"): (
+        "347082442b4a54270e1233e8f5f3414a3727d3998b3465f17c854f8972837c14",
+        {"kind": "six",
+         "basis": [[-1.0, 1.5857864376269049], [-1.0000000000000002, -1.5857864376269049]],
+         "extent": 6, "cell_density": 0.891805812445612, "covered_radius": 10.140191389044741},
+    ),
+    ("octagon", "four"): (
+        "517cd29deecac039722195ea062e9a4341dc5f3adfdc70a0b9341c2c7d73ba0a",
+        {"kind": "four", "basis": [[2.0, 0.0], [1.2246467991473532e-16, 2.0]], "extent": 6,
+         "cell_density": 0.7071067811865475, "covered_radius": 11.988},
+    ),
+    ("octagon", "honeycomb"): (
+        "d602e3aef636d41255515148e3ccad09264b8afb4c4ee494709c1fc4007c08ee",
+        {"kind": "honeycomb",
+         "basis": [[3.414213562373095, -1.4142135623730951], [2.707106781186548, 1.7071067811865475]],
+         "offset": [1.414213562373095, -1.4142135623730951], "extent": 6,
+         "cell_density": 0.585786437626905, "covered_radius": 13.663076822938},
+    ),
+    ("dodecagon", "six"): (
+        "518089fa12d979d9b0842e6c9aa1df2e7e94254f77849232f1115fe48ecd545d",
+        {"kind": "six", "basis": [[2.0, 0.0], [-0.9999999999999996, 1.7320508075688774]],
+         "extent": 6, "cell_density": 0.8660254037844386, "covered_radius": 10.381912540567852},
+    ),
+    ("dodecagon", "four"): (
+        "4abf8dfc521d8267f4e35278cbcb1625d0b3b2b14e08f7994151a1b557771c8b",
+        {"kind": "four",
+         "basis": [[1.0000000000000002, 1.7320508075688772], [1.7320508075688774, -0.9999999999999999]],
+         "extent": 6, "cell_density": 0.75, "covered_radius": 11.988},
+    ),
+    ("dodecagon", "honeycomb"): (
+        "00d58f0f9984b999faea2fcdc8494ab5c964909469d88a11efe21bc946515aa0",
+        {"kind": "honeycomb",
+         "basis": [[2.9999999999999996, -1.7320508075688774], [3.0, 1.7320508075688772]],
+         "offset": [0.9999999999999996, -1.7320508075688774], "extent": 6,
+         "cell_density": 0.5773502691896257, "covered_radius": 15.982},
+    ),
+    ("rand10", "six"): (
+        "cbe9f6f4536c33706543afbf5a540b94a3577610f9d7599409bf41123b252839",
+        {"kind": "six",
+         "basis": [[-1.0494514712121323, -0.44228164735818387], [0.2545284417623185, -2.3924115523615135]],
+         "extent": 6, "cell_density": 0.9316198626248188, "covered_radius": 6.535572229591953},
+    ),
+    ("rand10", "four"): (
+        "fa7be5c1102cf56debc27b5f5b806fa4880f755ea619db6c8f657ef30c38580d",
+        {"kind": "four",
+         "basis": [[0.14522000200753998, 3.4459500832413874], [1.1827502916212342, 0.9176248513484693]],
+         "extent": 6, "cell_density": 0.6198981674163603, "covered_radius": 6.851531409301721},
+    ),
+    ("rand10", "honeycomb"): (
+        "c445270c03526dd0fd0d476b247d12dc39d1c03f3245fa6c9e91f1d3b0d39a9d",
+        {"kind": "honeycomb",
+         "basis": [[2.2805776495424146, 3.4673380709755097], [1.2430473599287204, 5.995663302868428]],
+         "offset": [1.1827502916212342, 0.9176248513484693], "extent": 6,
+         "cell_density": 0.5220076372030888, "covered_radius": 7.669017598536934},
+    ),
+    ("thin", "six"): (
+        "c50fb8a40edb42377bfb0e0018883b238144966e34f1479d47c2ed8e3df4682b",
+        {"kind": "six", "basis": [[2.0, 0.0], [-1.0, 0.04]], "extent": 6, "cell_density": 0.75,
+         "covered_radius": 0.23976},
+    ),
+    ("thin", "four"): (
+        "6f8b67cba6f830f9a59532b17ac53b7ead91daf49b2185146e034917d3519c06",
+        {"kind": "four", "basis": [[2.0, 0.0], [0.0, 0.04]], "extent": 6, "cell_density": 0.75,
+         "covered_radius": 0.23976},
+    ),
+    ("thin", "honeycomb"): (
+        "7ed678380b40d53a958cfc773a72e6b07c80ea0a6728e1f11b67cc643b8c1aee",
+        {"kind": "honeycomb", "basis": [[3.0, -0.04], [3.0, 0.04]], "offset": [1.0, -0.04],
+         "extent": 6, "cell_density": 0.5, "covered_radius": 0.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("disc,kind", list(_GOLDEN_GENERATORS))
+def test_generator_golden_output(disc, kind):
+    p = _GOLDEN_BUILDERS[kind](_GOLDEN_DISCS[disc](), extent=6)
+    digest, generator = _GOLDEN_GENERATORS[disc, kind]
+    assert hashlib.sha256(p.centers.tobytes()).hexdigest() == digest
+    assert list(p.generator.items()) == list(generator.items())
