@@ -6,7 +6,7 @@ Runs, per random centrally symmetric disc:
   hexagon    f6 == area whenever the disc is an extremal hexagon family member
   reassembly density_bound_from_profile == closed-form bound on its profile
   concavity  the concave envelope of the area caps lies on or above the caps
-  minimum    golden-section minimum over d0p agrees with a dense grid scan
+  minimum    exact minimum over d0p agrees with a dense grid scan
 
 Exit code 0 when every disc passes every check.
 """
@@ -77,7 +77,7 @@ def check_minimum(lam: float) -> list[str]:
     vals = [theorem_lower_bound(BoundQuery(lam, float(x))).value for x in grid]
     v_grid = min(vals)
     if v_star > v_grid + 1e-7:
-        return [f"lam={lam}: golden {v_star:.10f} above grid {v_grid:.10f}"]
+        return [f"lam={lam}: exact {v_star:.10f} above grid {v_grid:.10f}"]
     c1 = corollary1_bound(lam)
     if abs(v_star - c1) > 1e-7:
         return [f"lam={lam}: minimized {v_star:.10f} vs closed form {c1:.10f}"]

@@ -129,30 +129,15 @@ def corollary2_ratio_bound(lam: float) -> float:
     return 0.5
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-10):
-    """Golden-section minimum of f on [a, b]; fine for monotone pieces too."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def minimize_bound_over_d0(lam: float, objective=Objective.BOUND):
-    """Minimize the bound (or bound/d0p) over d0p in [3/4, 1].
+    """Minimize the bound (or bound/d0p) over d0p in [3/4, 1], exactly.
 
-    Returns (d0_star, value).  Each branch interval is searched
-    separately so the seam kink at 7/8 cannot trap the search.
+    Returns (d0_star, value).  On each branch interval, [3/4, 7/8] and
+    [7/8, 1], the bound is d0/(a d0 + b) with a and b fixed by lam and
+    a d0 + b > 0.  Its derivative b/(a d0 + b)^2 keeps the sign of b, so it
+    is monotone there, and so is the ratio bound/d0 = 1/(a d0 + b).  The
+    branches meet at 7/8, so the minimum lies at 3/4, 7/8 or 1; a tie goes
+    to the first of these.
     """
     lam = _check_lam(lam)
     obj = Objective(objective)
@@ -161,10 +146,8 @@ def minimize_bound_over_d0(lam: float, objective=Objective.BOUND):
         v = theorem_lower_bound(BoundQuery(lam, d0)).value
         return v / d0 if obj is Objective.RATIO else v
 
-    lo = _golden_min(f, 0.75, SEAM_D0)
-    hi = _golden_min(f, SEAM_D0, 1.0)
-    x, v = min((lo, hi), key=lambda t: t[1])
-    return float(x), float(v)
+    d0_star = min((0.75, SEAM_D0, 1.0), key=f)
+    return d0_star, f(d0_star)
 
 
 def avg_sides(lam: float) -> float:

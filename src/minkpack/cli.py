@@ -163,10 +163,7 @@ def cmd_sweep(args) -> int:
 def cmd_hexagon(args) -> int:
     if args.d0p is None:
         raise BoundsRangeError("hexagon needs --d0p")
-    d = make_theorem_hexagon(_number(args.d0p, "--d0p"))
-    if not args.out:
-        raise GeometryError("hexagon needs --out FILE")
-    save_disc(d, args.out)
+    save_disc(make_theorem_hexagon(_number(args.d0p, "--d0p")), args.out)
     return 0
 
 
@@ -195,8 +192,6 @@ def cmd_pack(args) -> int:
         )
     else:
         raise GeometryError(f"unknown generator {gen!r}")
-    if not args.out:
-        raise GeometryError("pack needs --out FILE")
     save_packing(p, args.out)
     return 0
 
@@ -261,10 +256,7 @@ def cmd_render(args) -> int:
         )
     parts.append("</g>")
     parts.append("</svg>")
-    if not args.out:
-        raise GeometryError("render needs --out FILE")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _emit(parts, args.out)
     return 0
 
 
@@ -275,13 +267,15 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="minkpack")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, disc=None, packing=False):
-        """disc: None for no --disc option, else whether --disc is required."""
+    def common(sp, *, disc=None, packing=False, out=False):
+        """disc: None for no --disc option, else whether --disc is required;
+        out: whether --out is required, else output defaults to stdout."""
         if disc is not None:
             sp.add_argument("--disc", required=disc, help="disc JSON file")
         if packing:
             sp.add_argument("packing", help="packing JSON file")
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
+        sp.add_argument("--out", required=out,
+                        help="output file" if out else "output file (default stdout)")
 
     sp = sub.add_parser("profile", help="extremal profile of a disc")
     common(sp, disc=True)
@@ -302,12 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("hexagon", help="write an equality-family hexagon disc")
-    common(sp)
+    common(sp, out=True)
     sp.add_argument("--d0p", default=None)
     sp.set_defaults(fn=cmd_hexagon)
 
     sp = sub.add_parser("pack", help="generate a packing")
-    common(sp, disc=True)
+    common(sp, disc=True, out=True)
     sp.add_argument("--generator", default="six", help="six|four|honeycomb|mixed:A+B")
     sp.add_argument("--fraction", type=float, default=0.5)
     sp.add_argument("--strip-width", dest="strip_width", type=int, default=16)
@@ -320,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("render", help="SVG drawing of a packing file")
-    common(sp, packing=True)
+    common(sp, packing=True, out=True)
     sp.set_defaults(fn=cmd_render)
     return top
 

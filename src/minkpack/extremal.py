@@ -310,7 +310,7 @@ def max_triangle_optimum(d: ConvexDisc) -> tuple[float, list[np.ndarray]]:
     One search for both, for callers that need delta and a witness.
     """
     best, areas, s1, s2 = _triangle_search(d)
-    near = areas >= best * (1.0 - _REL) - 1e-12
+    near = areas >= best * (1.0 - _REL)
     sides = np.stack([s1[near], s2[near], -(s1[near] + s2[near])], axis=1)
     return best, list(sides[_first_unique(sides, d.diameter)])
 
@@ -596,15 +596,15 @@ def _pentagon_optimum(d: ConvexDisc):
     T, ub = T[order], ub[order]
     best, areas, sides = 0.0, [np.zeros(0)], [np.zeros((0, 5, 2))]
     for lo in range(0, len(T), _CHUNK):
-        if ub[lo] < best * (1.0 - _REL) - 1e-12:
+        if ub[lo] < best * (1.0 - _REL):
             break
         for a, s in _face_points(V, E, T[lo:lo + _CHUNK], d.diameter):
             best = max(best, float(a.max()))
-            near = a >= best * (1.0 - _REL) - 1e-12
+            near = a >= best * (1.0 - _REL)
             areas.append(a[near])
             sides.append(s[near])
     areas, sides = np.concatenate(areas), np.concatenate(sides)
-    return best, sides[areas >= best * (1.0 - _REL) - 1e-12]
+    return best, sides[areas >= best * (1.0 - _REL)]
 
 
 def max_pentagon_candidates(d: ConvexDisc) -> list[np.ndarray]:

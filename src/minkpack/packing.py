@@ -34,6 +34,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -50,17 +51,15 @@ from .extremal import (
 from .geometry import ConvexDisc, GeometryError, cross, disc_from_dict, disc_to_dict
 
 TOUCH_REL = 1e-7
+# a touch is a pair at gauge within TOUCH_EPS of 2: TOUCH_REL relative to the
+# touch gauge, which does not depend on the disc's scale
+TOUCH_EPS = 2.0 * TOUCH_REL
 # ceiling on the (2 extent + 1)^2 lattice points a generator may be asked for
 MAX_LATTICE_POINTS = 1 << 22
 
 
 class PackingInvalidError(ValueError):
     """Overlapping translates, crossing touch edges, or an impossible request."""
-
-
-def _touch_eps(d: ConvexDisc) -> float:
-    """Gauge tolerance of a touch: |gauge - 2| <= TOUCH_REL * diameter."""
-    return TOUCH_REL * d.diameter
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +70,7 @@ class Packing:
     centers: np.ndarray
     generator: dict | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
+    touch_eps = TOUCH_EPS
 
     def __post_init__(self):
         try:
@@ -83,10 +83,6 @@ class Packing:
             raise GeometryError("center coordinates must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "centers", c)
-
-    @property
-    def touch_eps(self) -> float:
-        return _touch_eps(self.disc)
 
 
 @dataclass
@@ -140,7 +136,7 @@ def _outer_radius(d: ConvexDisc) -> float:
 
 def _contact_cutoff(d: ConvexDisc) -> float:
     """Euclidean reach of a touch: gauge <= 2 + touch eps, and |v| <= gauge(v) R_out."""
-    return (2.0 + _touch_eps(d)) * _outer_radius(d)
+    return (2.0 + TOUCH_EPS) * _outer_radius(d)
 
 
 def _contacts(p: Packing):
@@ -224,11 +220,10 @@ def _lattice_covered_radius(g1, g2, extent: int) -> float:
 
 def _touch_profile(d: ConvexDisc, vecs: np.ndarray, expected: int):
     """(extra touches, validity, margin) of the gauge-2 shell in a vector list."""
-    eps = _touch_eps(d)
     g = d.gauge_many(vecs)
-    if np.any(g < 2.0 - eps):
+    if np.any(g < 2.0 - TOUCH_EPS):
         return (np.inf, False, 0.0)
-    touching = np.abs(g - 2.0) <= eps
+    touching = np.abs(g - 2.0) <= TOUCH_EPS
     others = g[~touching]
     margin = float(np.min(np.abs(others - 2.0))) if len(others) else np.inf
     return (int(np.count_nonzero(touching)) - expected, True, margin)
@@ -338,30 +333,22 @@ def _theorem_frame(d: ConvexDisc):
         return None
     if m != 6:
         return None
+    # on a counterclockwise hexagon side i + 1 runs antiparallel to the
+    # diagonal V[i], from the image of (w, 1); for i = 2 that is side 3, read
+    # as minus side 0 from -V[0].  canon(w) is symmetric under x -> -x, so
+    # M diag(-1, 1) matches exactly when M does, and det M = cross(V[i],
+    # V[i + 1]) is kept away from 0 by the disc's facet normals
     sides = np.roll(V, -1, axis=0) - V
-    for i in range(3):
+    for i, j, top in ((0, 1, V[1]), (1, 2, V[2]), (2, 0, -V[0])):
         diag = V[i]
-        for j in range(6):
-            if abs(cross(sides[j], diag)) > tol * max(1.0, d.diameter):
-                continue
-            w = float(np.hypot(*sides[j]) / (2.0 * np.hypot(*diag)))
-            if not (0.5 - 1e-9 <= w <= 1.0 + 1e-9):
-                continue
-            # the top side runs (w,1) -> (-w,1), antiparallel to the diagonal;
-            # a side parallel to it is the bottom one, so reflect its start
-            if float(np.dot(sides[j], diag)) < 0:
-                top = V[j]
-            else:
-                top = -V[j]
-            u = top - w * diag
-            M = np.column_stack([diag, u])
-            if abs(float(np.linalg.det(M))) < 1e-12:
-                continue
-            if matches(M, w):
-                return M, w
-            M2 = np.column_stack([-diag, u])
-            if matches(M2, w):
-                return M2, w
+        if abs(cross(sides[j], diag)) > tol * d.diameter:
+            continue
+        w = float(np.hypot(*sides[j]) / (2.0 * np.hypot(*diag)))
+        if not (0.5 - 1e-9 <= w <= 1.0 + 1e-9):
+            continue
+        M = np.column_stack([diag, top - w * diag])
+        if matches(M, w):
+            return M, w
     return None
 
 
@@ -419,13 +406,12 @@ def _columns_six_four_square(f_six: float, strip_width: int, extent: int):
     offsets 0 and 2, so every seam joins even-parity columns."""
     fr = Fraction(float(f_six)).limit_denominator(24)
     p, q = fr.numerator, fr.denominator
-    D = None
-    for cand in range(1, 17, 2):
-        s_need = 2 * cand * (q - p)
-        if s_need % p == 0:
-            D, S = cand, s_need // p
-            break
-    if D is None:
+    # D dense and S sparse columns hold the fraction p/q of the centers when
+    # p S = 2 D (q - p); the least D is p / gcd(p, 2 (q - p)), and runs need it odd
+    D = p // gcd(p, 2 * (q - p))
+    if D % 2 == 1 and D < 17:
+        S = 2 * D * (q - p) // p
+    else:
         D = 1
         S = max(1, round(2 * (1 - float(f_six)) / max(float(f_six), 1e-9)))
     s = max(1, round(strip_width / (D + S)))
@@ -772,7 +758,7 @@ def build_subdivision(p: Packing) -> Subdivision:
     corner = src[seq]
     max_radius = np.maximum.reduceat(rad[corner], offsets[:-1]) if nf else np.empty(0)
     reach = float(rad.max()) - 3.0 * p.disc.diameter
-    outerish = signed <= 1e-12 * max(1.0, p.disc.diameter**2)
+    outerish = signed <= 1e-12 * p.disc.diameter**2
     polys = pts[corner]
     cuts = offsets.tolist()
     sub = Subdivision(

@@ -102,6 +102,20 @@ def test_minimize_agrees_with_corollaries():
         assert v2 == pytest.approx(corollary2_ratio_bound(lam), abs=1e-8)
 
 
+def test_minimize_is_exact():
+    # the minimum sits at 3/4, 7/8 or 1, so it meets the closed forms to
+    # rounding and no grid point beats it
+    for lam in np.linspace(3.0, 6.0, 601):
+        assert abs(minimize_bound_over_d0(lam, Objective.BOUND)[1] - corollary1_bound(lam)) <= 1e-15
+        assert abs(minimize_bound_over_d0(lam, Objective.RATIO)[1]
+                   - corollary2_ratio_bound(lam)) <= 1e-15
+    grid = np.linspace(0.75, 1.0, 20001)
+    for lam in np.linspace(3.0, 6.0, 61):
+        values = theorem_value_array(lam, grid)
+        assert minimize_bound_over_d0(lam, Objective.BOUND)[1] <= values.min()
+        assert minimize_bound_over_d0(lam, Objective.RATIO)[1] <= (values / grid).min()
+
+
 def test_range_guards():
     with pytest.raises(BoundsRangeError):
         BoundQuery(2.5, 0.9)

@@ -306,6 +306,26 @@ def test_disc_is_required(capsys, tmp_path, cmd):
     assert not (tmp_path / "x.out").exists()
 
 
+@pytest.mark.parametrize("cmd", ["hexagon", "pack", "render"])
+def test_out_is_required_before_any_work(capsys, monkeypatch, tmp_path, square_file, cmd):
+    from minkpack import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the command ran without --out")
+
+    for name in ("make_theorem_hexagon", "six_neighbour_lattice", "load_packing"):
+        monkeypatch.setattr(cli, name, fail)
+    argv = {
+        "hexagon": ["--d0p", "0.8"],
+        "pack": ["--disc", square_file, "--extent", "1000"],
+        "render": [str(tmp_path / "pack.json")],
+    }[cmd]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *argv])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_tol_is_a_profile_option(capsys, square_file):
     assert run(capsys, "profile", "--disc", square_file, "--tol", "1e-3")[0] == 0
     with pytest.raises(SystemExit) as exc:
@@ -398,19 +418,19 @@ _GOLDEN = {
     )),
     "sweep": (0, (
         "lambda,d0p,branch,bound,corollary1,corollary2\n"
-        "3,0.763921520937,LOW_D0,0.5,0.5,0.5\n"
-        "3.25,0.99999999996,HIGH_D0_LOWER_LAMBDA,0.500000000005,0.5,0.5\n"
-        "3.5,0.99999999996,HIGH_D0_LOWER_LAMBDA,0.50000000001,0.5,0.5\n"
-        "3.75,0.99999999996,HIGH_D0_LOWER_LAMBDA,0.500000000015,0.5,0.5\n"
-        "4,0.99999999996,HIGH_D0_UPPER_LAMBDA,0.50000000002,0.5,0.5\n"
-        "4.25,0.99999999996,HIGH_D0_UPPER_LAMBDA,0.533333333352,0.533333333333,0.533333333333\n"
-        "4.5,0.99999999996,HIGH_D0_UPPER_LAMBDA,0.571428571445,0.571428571429,0.571428571429\n"
-        "4.75,0.99999999996,HIGH_D0_UPPER_LAMBDA,0.615384615398,0.615384615385,0.615384615385\n"
-        "5,0.75000000004,LOW_D0,0.642857142877,0.642857142857,0.666666666667\n"
-        "5.25,0.75000000004,LOW_D0,0.66666666669,0.666666666667,0.727272727273\n"
-        "5.5,0.75000000004,LOW_D0,0.692307692336,0.692307692308,0.8\n"
-        "5.75,0.75000000004,LOW_D0,0.720000000034,0.72,0.888888888889\n"
-        "6,0.75000000004,LOW_D0,0.75000000004,0.75,1\n"
+        "3,0.75,LOW_D0,0.5,0.5,0.5\n"
+        "3.25,1,HIGH_D0_LOWER_LAMBDA,0.5,0.5,0.5\n"
+        "3.5,1,HIGH_D0_LOWER_LAMBDA,0.5,0.5,0.5\n"
+        "3.75,1,HIGH_D0_LOWER_LAMBDA,0.5,0.5,0.5\n"
+        "4,1,HIGH_D0_UPPER_LAMBDA,0.5,0.5,0.5\n"
+        "4.25,1,HIGH_D0_UPPER_LAMBDA,0.533333333333,0.533333333333,0.533333333333\n"
+        "4.5,1,HIGH_D0_UPPER_LAMBDA,0.571428571429,0.571428571429,0.571428571429\n"
+        "4.75,1,HIGH_D0_UPPER_LAMBDA,0.615384615385,0.615384615385,0.615384615385\n"
+        "5,0.75,LOW_D0,0.642857142857,0.642857142857,0.666666666667\n"
+        "5.25,0.75,LOW_D0,0.666666666667,0.666666666667,0.727272727273\n"
+        "5.5,0.75,LOW_D0,0.692307692308,0.692307692308,0.8\n"
+        "5.75,0.75,LOW_D0,0.72,0.72,0.888888888889\n"
+        "6,0.75,LOW_D0,0.75,0.75,1\n"
     )),
     "analyze hex80 six": (0, (
         "R,lambda_hat,density_hat,avg_sides_hat,ratio_hat,bound,slack\n"

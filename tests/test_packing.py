@@ -19,7 +19,7 @@ from minkpack.geometry import (
     regular_ngon,
 )
 from minkpack.packing import (
-    TOUCH_REL,
+    TOUCH_EPS,
     Packing,
     PackingInvalidError,
     Subdivision,
@@ -106,15 +106,30 @@ def test_packing_is_immutable(square):
 
 
 def test_touch_on_a_large_disc_is_found():
-    # on a disc of diameter above 4 a touch can sit at a gauge beyond
-    # 2 + 4 TOUCH_REL; along a vertex direction gauge 2 + 0.9 eps is
-    # Euclidean distance (2 + 0.9 eps) R_out, which the pair search must reach
+    # along a vertex direction gauge 2 + 0.9 eps is Euclidean distance
+    # (2 + 0.9 eps) R_out, which the pair search must reach
     d = ConvexDisc([(10.0, 10.0), (-10.0, 10.0), (-10.0, -10.0), (10.0, -10.0)])
-    t = 2.0 + 0.9 * TOUCH_REL * d.diameter
+    t = 2.0 + 0.9 * TOUCH_EPS
     p = Packing(disc=d, centers=np.array([[0.0, 0.0], [10.0 * t, 10.0 * t]]))
-    assert d.gauge(p.centers[1]) > 2.0 + 4.0 * TOUCH_REL
     assert neighbour_graph(p).edges.tolist() == [[0, 1]]
     assert validate_packing(p)["pairs_checked"] == 1
+
+
+def test_overlap_on_a_large_disc_is_found():
+    # the touch tolerance is a gauge, so it does not grow with the disc
+    d = ConvexDisc(1e6 * make_theorem_hexagon(1.0).vertices)
+    p = Packing(disc=d, centers=np.array([[0.0, 0.0], [1.8e6, 0.0]]))
+    assert not validate_packing(p)["ok"]
+    with pytest.raises(PackingInvalidError):
+        neighbour_graph(p)
+
+
+@pytest.mark.parametrize("a, b, frac", [("six", "four", 0.01), ("four", "six", 0.99)])
+def test_square_strips_with_no_dense_column_per_period(square, a, b, frac):
+    # the six fraction rounds to 0 over denominators up to 24: no odd dense
+    # run fits, so the strip count takes its fallback
+    p = mixed_strip_packing(square, a, b, frac, strip_width=4, extent=16)
+    assert validate_packing(p)["ok"]
 
 
 def _brute_contacts(p):
@@ -308,7 +323,7 @@ def test_touch_crossing_reach_finds_every_crossing():
         d = ConvexDisc(square @ M.T)
         s = (0.0, 1.0, rng.uniform(0.1, 0.9))[k % 3]
         canon = np.column_stack([2.0 * a.ravel() + 2.0 * s * b.ravel(), 2.0 * b.ravel()])
-        eps = TOUCH_REL * d.diameter
+        eps = TOUCH_EPS
         smin = float(np.linalg.svd(M, compute_uv=False)[-1])
         jitter = rng.uniform(0.0, 0.3) * eps * smin
         ang = rng.uniform(0.0, 2.0 * np.pi, len(canon))
@@ -334,7 +349,7 @@ def test_touch_crossing_reach_holds_at_the_widest_crossing():
     square = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
     for L in (0.5, 1.0, 10.0):
         d = ConvexDisc(L * square)
-        eps = TOUCH_REL * d.diameter
+        eps = TOUCH_EPS
         g = 2.0 + 0.9 * eps
         s = (2.0 - 0.9 * eps) / g - 0.5
         D1, D2 = g * L * np.array([1.0, 1.0]), g * L * np.array([-1.0, 1.0])
