@@ -12,7 +12,11 @@ search order, the order the lattice generators break ties by.  A
 pentagon is a nondecreasing 5-tuple of edges, one side per edge; its
 area is a quadratic on the polytope of closing side parameters, and the
 optimum is a stationary point of one of the polytope's faces, which are
-solved in closed form (see the pentagon section below).  Even-k optima
+solved in closed form (see the pentagon section below).  On a disc whose
+vertex pairing v[i + m] = -v[i] holds to rounding, a multiset and its
+point reflection give pentagons of equal area, so only the canonical one
+of each pair is solved; a disc with a larger pairing defect keeps the
+full enumeration, whose f5 the defect cannot shift.  Even-k optima
 are attained at vertex/midpoint anchors by convexity of the area in each
 side.
 """
@@ -397,9 +401,20 @@ def max_hexagon_candidates(d: ConvexDisc) -> list[np.ndarray]:
 # a lower face with the same value.  Faces with fewer than two free sides
 # need no solve: their points are also the solutions of a two-free face
 # whose free edges are not parallel.
+#
+# With n = 2m vertices and v[i + m] = -v[i], edge e + m is edge e reflected
+# through the origin, so the multiset sort((T + m) mod n) carries the
+# reflected pentagons of T, with the same t and the same area; its side sets
+# are the negations that _first_unique merges.  Only the lexicographically
+# smaller of the two is solved.  A 5-tuple is never its own reflection (the
+# shift pairs up its entries), so exactly half survive.  The pairing must
+# hold to rounding (_SYMMETRY_EXACT) for the two areas to agree to rounding;
+# ConvexDisc accepts a defect up to 1e-9 * diameter, and such a disc keeps
+# every multiset.
 
 _CHUNK = 1024  # multisets per face batch
 _JOIN_CAP = 1 << 16  # pair/triple candidates expanded at a time
+_SYMMETRY_EXACT = 1e-15  # largest pairing defect, relative to the diameter, that halves the search
 
 
 def _zonotope_closes(d: ConvexDisc, T: np.ndarray) -> np.ndarray:
@@ -555,19 +570,23 @@ def _face_solutions(Vs: np.ndarray, Es: np.ndarray):
 
 
 def _face_points(V: np.ndarray, E: np.ndarray, T: np.ndarray, scale: float):
-    """Feasible stationary points of Q on every nonsingular face, as (area, sides).
+    """Feasible stationary points of Q on every nonsingular face, as (areas, sides).
 
     A point is kept when its t lies in the box within 1e-9, and the sides
-    with t clipped to the box still close within 1e-12 * scale.
+    with t clipped to the box still close within 1e-12 * scale.  The points
+    of all faces are clipped and measured in one pass, in face order.
     """
     Vs, Es = V[T], E[T]
+    bs, ts = [], []
     for t, good in _face_solutions(Vs, Es):
         ok = good[:, None] & np.all((t >= -1e-9) & (t <= 1.0 + 1e-9), axis=-1)
         b, j = np.nonzero(ok)
-        sides = Vs[b] + np.clip(t[b, j], 0.0, 1.0)[..., None] * Es[b]
-        closed = np.abs(sides.sum(axis=1)).max(axis=1) <= 1e-12 * scale
-        if closed.any():
-            yield sorted_sides_area(sides[closed]), sides[closed]
+        bs.append(b)
+        ts.append(t[b, j])
+    b = np.concatenate(bs)
+    sides = Vs[b] + np.clip(np.concatenate(ts), 0.0, 1.0)[..., None] * Es[b]
+    sides = sides[np.abs(sides.sum(axis=1)).max(axis=1) <= 1e-12 * scale]
+    return sorted_sides_area(sides), sides
 
 
 def _area_bound(V: np.ndarray, E: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -582,15 +601,31 @@ def _area_bound(V: np.ndarray, E: np.ndarray, T: np.ndarray) -> np.ndarray:
     return ub
 
 
+def _reflection_canonical(T: np.ndarray, n: int) -> np.ndarray:
+    """Rows of nondecreasing edge 5-tuples T lexicographically below their reflection.
+
+    The reflection of T is sort((T + n/2) mod n), the edges point-reflected
+    through the origin; it always differs from T, so one of each pair is kept.
+    """
+    R = np.sort((T + n // 2) % n, axis=1)
+    first = np.argmax(T != R, axis=1)
+    rows = np.arange(len(T))
+    return T[rows, first] < R[rows, first]
+
+
 def _pentagon_optimum(d: ConvexDisc):
     """f5 and the side sets within _REL of it, by face enumeration.
 
     Multisets are visited by decreasing area bound and the scan stops once
-    the bound falls below the best area found.
+    the bound falls below the best area found.  On an exactly symmetric
+    disc only the canonical multiset of each reflected pair is visited.
     """
     V = d.vertices
+    n = len(V)
     E = np.roll(V, -1, axis=0) - V
     T = _closing_multisets(d)
+    if np.abs(V[n // 2:] + V[:n // 2]).max() <= _SYMMETRY_EXACT * d.diameter:
+        T = T[_reflection_canonical(T, n)]
     ub = _area_bound(V, E, T)
     order = np.argsort(-ub, kind="stable")
     T, ub = T[order], ub[order]
@@ -598,11 +633,11 @@ def _pentagon_optimum(d: ConvexDisc):
     for lo in range(0, len(T), _CHUNK):
         if ub[lo] < best * (1.0 - _REL):
             break
-        for a, s in _face_points(V, E, T[lo:lo + _CHUNK], d.diameter):
-            best = max(best, float(a.max()))
-            near = a >= best * (1.0 - _REL)
-            areas.append(a[near])
-            sides.append(s[near])
+        a, s = _face_points(V, E, T[lo:lo + _CHUNK], d.diameter)
+        best = max(best, float(a.max(initial=0.0)))
+        near = a >= best * (1.0 - _REL)
+        areas.append(a[near])
+        sides.append(s[near])
     areas, sides = np.concatenate(areas), np.concatenate(sides)
     return best, sides[areas >= best * (1.0 - _REL)]
 

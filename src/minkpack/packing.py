@@ -639,8 +639,8 @@ def _crossing_pairs(centers: np.ndarray, edges: np.ndarray, reach: float | None 
     def orient(p, q, r):
         return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
 
-    scale = 2.0 * np.abs(vec).max() + 1.0
-    eps = 1e-12 * scale * scale
+    # an orientation scales as length^2, so the product of two as length^4
+    eps = 1e-12 * np.abs(vec).max() ** 4
     o1 = orient(a, b, c)
     o2 = orient(a, b, dd)
     o3 = orient(c, dd, a)
@@ -799,9 +799,9 @@ def measure_stats(p: Packing, R: float) -> PackingStats:
         covered = p.generator.get("covered_radius")
     if covered is None:
         covered = float(rad.max())
-    if R > covered + 1e-9:
+    if R > covered * (1.0 + 1e-9):
         raise BoundsRangeError(
-            f"window radius {R} exceeds the generated extent (covered {covered:.3f})"
+            f"window radius {R} exceeds the generated extent (covered {covered:.4g})"
         )
     g = neighbour_graph(p)
     inwin = rad <= R

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkpack.cli import main
 from minkpack.extremal import make_theorem_hexagon
-from minkpack.geometry import save_disc
+from minkpack.geometry import convex_hull, save_disc
 from minkpack.packing import Packing, load_packing, save_packing
 from minkpack.random_shapes import random_disc
 
@@ -354,6 +361,47 @@ def test_unwritable_output_is_an_input_error(capsys, tmp_path, square_file, cmd)
     assert err.startswith("error:") and "absent" in err
     assert out == ""
     assert not bad.parent.exists()
+
+
+@st.composite
+def _vertex_lists(draw):
+    """Vertex lists around a symmetric disc: collinear runs, asymmetry, odd
+    counts, NaN and inf, at scales 1e-9 to 1e9."""
+    m = draw(st.integers(1, 7))
+    ang = draw(st.lists(st.floats(0.0, math.pi, exclude_max=True), min_size=m, max_size=m))
+    r = draw(st.lists(st.floats(0.2, 2.0), min_size=m, max_size=m))
+    half = np.column_stack([np.multiply(r, np.cos(ang)), np.multiply(r, np.sin(ang))])
+    pts = convex_hull(np.vstack([half, -half])).tolist()
+    if draw(st.booleans()):  # a collinear run: midpoints inserted after vertex i
+        i = draw(st.integers(0, len(pts) - 1))
+        a, b = pts[i], pts[(i + 1) % len(pts)]
+        pts[i + 1:i + 1] = [[a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
+                            for t in (0.25, 0.5, 0.75)]
+    i = draw(st.integers(0, len(pts) - 1))  # asymmetry of a chosen relative size
+    pts[i][draw(st.integers(0, 1))] *= 1.0 + draw(st.sampled_from([0.0, 1e-15, 1e-10, 1e-6, 0.1]))
+    if draw(st.integers(0, 3)) == 0:  # an odd count
+        del pts[draw(st.integers(0, len(pts) - 1))]
+    scale = 10.0 ** draw(st.floats(-9.0, 9.0))
+    pts = [[x * scale, y * scale] for x, y in pts]
+    if pts and draw(st.integers(0, 3)) == 0:
+        pts[draw(st.integers(0, len(pts) - 1))][draw(st.integers(0, 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return pts
+
+
+@settings(max_examples=50, deadline=None)
+@given(_vertex_lists())
+def test_profile_fuzz_exits_with_a_code_never_a_traceback(vertices):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "disc.json")
+        with open(path, "w") as fh:
+            json.dump({"vertices": vertices}, fh)  # NaN and inf as JSON's NaN/Infinity
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["profile", "--disc", path])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert bool(out.getvalue()) == (code in (0, 3))
 
 
 # --- golden output ----------------------------------------------------------

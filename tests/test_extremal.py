@@ -14,6 +14,7 @@ from minkpack.extremal import (
     _face_solutions,
     _first_unique,
     _group_matvec,
+    _reflection_canonical,
     _triangle_search,
     _zonotope_closes,
     make_theorem_hexagon,
@@ -30,7 +31,7 @@ from minkpack.extremal import (
 )
 from minkpack.geometry import ConvexDisc, GeometryError, cross, regular_ngon
 from minkpack.oracle import grid_max_kgon
-from minkpack.random_shapes import random_disc
+from minkpack.random_shapes import random_disc, random_discs
 
 # frozen values for the canonical hexagon family, worked out by hand:
 # vertices (+-1, 0), (+-w, +-1) give A = 2(1+w), Delta = 1/2, F4 = 2w,
@@ -205,6 +206,66 @@ def test_closing_multisets_match_brute_force(n_pairs):
         got = _closing_multisets(d)
         assert len(np.unique(got, axis=0)) == len(got)
         assert np.array_equal(np.unique(got, axis=0), want)
+
+
+def _full_pentagon_search(d):
+    """f5 and the number of distinct optimal side sets, from the faces of every
+    closing multiset, one area pass per face, with no bound cut and no
+    reflection filter."""
+    V = d.vertices
+    E = np.roll(V, -1, axis=0) - V
+    T = _closing_multisets(d)
+    areas, sides = [], []
+    for lo in range(0, len(T), 1024):
+        Vs, Es = V[T[lo:lo + 1024]], E[T[lo:lo + 1024]]
+        for t, good in _face_solutions(Vs, Es):
+            ok = good[:, None] & np.all((t >= -1e-9) & (t <= 1.0 + 1e-9), axis=-1)
+            b, j = np.nonzero(ok)
+            s = Vs[b] + np.clip(t[b, j], 0.0, 1.0)[..., None] * Es[b]
+            s = s[np.abs(s.sum(axis=1)).max(axis=1) <= 1e-12 * d.diameter]
+            areas.append(sorted_sides_area(s))
+            sides.append(s)
+    areas, sides = np.concatenate(areas), np.concatenate(sides)
+    best = float(areas.max())
+    return best, len(_first_unique(sides[areas >= best * (1.0 - _REL)], d.diameter))
+
+
+def _random_and_fault_discs():
+    return list(random_discs(20260822, 40)) + [ConvexDisc(np.vstack([_FAULT_HALF,
+                                                                     -np.array(_FAULT_HALF)]))]
+
+
+def test_reduced_f5_matches_the_full_enumeration():
+    for k, d in enumerate(_random_and_fault_discs() + [regular_ngon(n) for n in (12, 24, 48)]):
+        f5, count = _full_pentagon_search(d)
+        assert max_kgon_area(d, 5) == pytest.approx(f5, rel=1e-15, abs=0.0), k
+        assert len(max_pentagon_candidates(d)) == count, k
+
+
+@pytest.mark.parametrize("name", ["fault_disc", "square", "hexagon_78"])
+def test_reflection_filter_keeps_one_of_each_pair(request, name):
+    d = request.getfixturevalue(name)
+    n = len(d.vertices)
+    T = _closing_multisets(d)
+    keep = _reflection_canonical(T, n)
+    assert 2 * int(keep.sum()) == len(T)
+    dropped = np.sort((T[~keep] + n // 2) % n, axis=1)
+    assert {tuple(r) for r in dropped} == {tuple(r) for r in T[keep]}
+
+
+def test_nearly_symmetric_discs_keep_the_full_enumeration():
+    # a pairing defect of 1e-10 * diameter passes ConvexDisc but is far above
+    # rounding, so every multiset is solved and f5 is the full search's, to
+    # the bit; solving half the multisets changes the last bits on about a
+    # third of these discs
+    rng = np.random.default_rng(12)
+    for k, d0 in enumerate(_random_and_fault_discs()):
+        V = d0.vertices
+        m = len(V) // 2
+        noise = rng.uniform(-1.0, 1.0, size=(m, 2)) * 1e-10 * d0.diameter
+        d = ConvexDisc(np.vstack([V[:m], V[m:] + noise]))
+        assert 1e-11 < np.abs(d.vertices[m:] + d.vertices[:m]).max() / d.diameter < 1e-9, k
+        assert max_kgon_area(d, 5) == _full_pentagon_search(d)[0], k
 
 
 def _lagrange_systems(Vs, Es):

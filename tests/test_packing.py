@@ -277,13 +277,16 @@ def test_cell_areas_capped(hexagon_78):
 
 def test_crossing_edges_rejected(square):
     # (2Z)^2 is a valid packing of the square but its 8 touch directions
-    # produce crossing diagonals, which is not a planar subdivision
+    # produce crossing diagonals, which is not a planar subdivision, at
+    # every scale
     xs = np.arange(-8, 9, 2, dtype=float)
     X, Y = np.meshgrid(xs, xs)
-    p = Packing(disc=square, centers=np.column_stack([X.ravel(), Y.ravel()]))
-    assert validate_packing(p)["ok"]
-    with pytest.raises(PackingInvalidError):
-        build_subdivision(p)
+    centers = np.column_stack([X.ravel(), Y.ravel()])
+    for s in (1.0, 1e-3, 1e-7, 1e6):
+        p = Packing(disc=ConvexDisc(s * square.vertices), centers=s * centers)
+        assert validate_packing(p)["ok"], s
+        with pytest.raises(PackingInvalidError, match="64 crossing touch-edge pairs"):
+            build_subdivision(p)
 
 
 def test_crossing_found_at_the_edge_of_the_midpoint_search():
@@ -598,6 +601,17 @@ def test_measure_stats_window_guard(hexagon_78):
     p = six_neighbour_lattice(hexagon_78, extent=10)
     with pytest.raises(BoundsRangeError):
         measure_stats(p, 1e4)
+
+
+def test_measure_stats_window_guard_is_scale_free():
+    # the covered radius of this lattice is 5.36; the margin beyond it is
+    # relative, so the scaled window is refused as the unit one is
+    hexagon = make_theorem_hexagon(0.8)
+    for s in (1.0, 1e-9):
+        p = six_neighbour_lattice(ConvexDisc(s * hexagon.vertices), extent=3)
+        with pytest.raises(BoundsRangeError, match="exceeds the generated extent"):
+            measure_stats(p, 6.26 * s)
+        measure_stats(p, p.generator["covered_radius"])
 
 
 def test_density_approaches_cell_density(hexagon_78):
