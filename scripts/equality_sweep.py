@@ -64,8 +64,6 @@ def main(argv=None) -> int:
     ap.add_argument("--d0ps", type=float, nargs="+", default=[0.75, 0.875, 1.0])
     ap.add_argument("--radii", type=float, nargs="+", default=[25.0, 50.0],
                     help="window radii in disc diameters")
-    ap.add_argument("--skip-validate", action="store_true",
-                    help="skip the O(n^2)-ish pairwise packing check")
     args = ap.parse_args(argv)
 
     rmax = max(args.radii)
@@ -82,7 +80,7 @@ def main(argv=None) -> int:
             d = make_theorem_hexagon(d0p)
             bound = theorem_lower_bound(BoundQuery(lam, d0p)).value
             p = sized_packing(d, lam, d0p, rmax * d.diameter)
-            if not args.skip_validate and not validate_packing(p)["ok"]:
+            if not validate_packing(p)["ok"]:
                 print(f"{lam:5.2f} {d0p:6.3f}  INVALID PACKING", file=sys.stderr)
                 return 1
             row = f"{lam:5.2f} {d0p:6.3f} {bound:8.5f} {len(p.centers):8d}"

@@ -30,6 +30,7 @@ from minkpack import (
     profile,
     theorem_lower_bound,
 )
+from minkpack.oracle import corollary_min_oracle
 from minkpack.random_shapes import random_discs
 
 LAM_GRID = np.linspace(3.0, 6.0, 13)
@@ -73,9 +74,7 @@ def check_concavity(prof) -> list[str]:
 
 def check_minimum(lam: float) -> list[str]:
     d0_star, v_star = minimize_bound_over_d0(lam)
-    grid = np.linspace(0.75, 1.0, 20001)
-    vals = [theorem_lower_bound(BoundQuery(lam, float(x))).value for x in grid]
-    v_grid = min(vals)
+    v_grid = corollary_min_oracle(lam, n=20001)
     if v_star > v_grid + 1e-7:
         return [f"lam={lam}: exact {v_star:.10f} above grid {v_grid:.10f}"]
     c1 = corollary1_bound(lam)

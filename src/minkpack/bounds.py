@@ -176,29 +176,23 @@ def cell_area_caps(prof) -> dict[int, float]:
 def concave_profile(prof, s: float) -> float:
     """Least concave majorant of the four points (k, cap_k), evaluated at s.
 
-    Needs only `area` and `delta` attributes of `prof`.  For d0p <= 7/8
-    the hull degenerates to the single chord from (3, delta) to (6, area).
+    Needs only `area` and `delta` attributes of `prof`.  cap5 is the
+    midpoint of cap4 and cap6, so the majorant is the chord from
+    (3, delta) to (6, area), bent at (4, cap4) exactly when that point lies
+    above the chord: 3 (cap4 - delta) > area - delta, that is d0p > 7/8.
     """
     s = float(s)
     if not (3.0 - _TOL <= s <= 6.0 + _TOL):
         raise BoundsRangeError(f"side count {s} outside [3, 6]")
     s = min(6.0, max(3.0, s))
     caps = cell_area_caps(prof)
-    pts = [(float(k), caps[k]) for k in (3, 4, 5, 6)]
-    eps = 1e-12 * max(1.0, caps[6])
-    hull = [pts[0]]
-    for p in pts[1:]:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop middle point when it lies on or below the chord
-            if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1) + eps:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    xs = [p[0] for p in hull]
-    i = max(0, min(len(hull) - 2, int(np.searchsorted(xs, s, side="right")) - 1))
-    (x1, y1), (x2, y2) = hull[i], hull[i + 1]
+    dl, c4, a = caps[3], caps[4], caps[6]
+    if 3.0 * (c4 - dl) <= a - dl:
+        (x1, y1), (x2, y2) = (3.0, dl), (6.0, a)
+    elif s < 4.0:
+        (x1, y1), (x2, y2) = (3.0, dl), (4.0, c4)
+    else:
+        (x1, y1), (x2, y2) = (4.0, c4), (6.0, a)
     t = (s - x1) / (x2 - x1)
     return float((1.0 - t) * y1 + t * y2)
 

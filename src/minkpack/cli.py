@@ -57,6 +57,8 @@ def _emit(lines, out_path):
 
 # ceiling on the rows a lo:hi:count lambda grid may ask for
 MAX_GRID_POINTS = 1 << 16
+# rounding slack of the profile's inequality chain, relative to the disc's area
+CHAIN_REL = 1e-9
 
 
 def _number(text, name: str, kind=float):
@@ -107,9 +109,7 @@ def cmd_profile(args) -> int:
         for k in (4, 5, 6):
             lines.append(f"oracle_f{k}," + _fmt(grid_max_kgon(d, k, n)))
     _emit(lines, args.out)
-    tol = args.tol
-    bad = min(slack4, slack5, slack6) < -tol or not (0.75 - tol <= prof.d0p <= 1.0 + tol)
-    return 3 if bad else 0
+    return 3 if min(slack4, slack5, slack6) < -CHAIN_REL * prof.area else 0
 
 
 def _bound_row(lam: float, d0p: float):
@@ -280,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("profile", help="extremal profile of a disc")
     common(sp, disc=True)
     sp.add_argument("--oracle", action="store_true", help="also print grid-oracle values")
-    sp.add_argument("--tol", type=float, default=1e-6, help="slack tolerance")
     sp.set_defaults(fn=cmd_profile)
 
     sp = sub.add_parser("bound", help="lower bound at one (lambda, d0p)")

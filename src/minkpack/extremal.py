@@ -29,7 +29,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from .bounds import BoundsRangeError
+from .bounds import _check_d0p
 from .geometry import (
     ConvexDisc,
     GeometryError,
@@ -122,7 +122,7 @@ def convexify_flips(p: UnitSidedPolygon) -> UnitSidedPolygon:
     """
     verts = np.array(p.vertices, dtype=float)
     k = len(verts)
-    scale = float(np.abs(verts).max()) + 1.0
+    scale = float(np.abs(verts).max())
     eps = 1e-12 * scale * scale
     if not is_simple_polygon(verts):
         raise GeometryError("flip procedure needs a simple (non-self-intersecting) polygon")
@@ -156,7 +156,7 @@ def convexify_flips(p: UnitSidedPolygon) -> UnitSidedPolygon:
             break
         verts = best_verts
         steps += 1
-    if abs(abs(signed_area(verts)) - target) > 1e-9 * max(1.0, target):
+    if abs(abs(signed_area(verts)) - target) > 1e-9 * target:
         raise GeometryError("flip procedure did not reach the angle-sorted area")
     return UnitSidedPolygon(vertices=verts, disc=p.disc)
 
@@ -171,7 +171,7 @@ def symmetrize_even(p: UnitSidedPolygon) -> UnitSidedPolygon:
     if k % 2 != 0:
         raise GeometryError("symmetrization needs an even vertex count")
     verts = np.asarray(p.vertices, dtype=float)
-    scale = float(np.abs(verts).max()) + 1.0
+    scale = float(np.abs(verts).max())
     if not _is_convex_closed(verts, 1e-12 * scale * scale):
         raise GeometryError("symmetrization needs a convex polygon")
     m = k // 2
@@ -624,7 +624,7 @@ def _pentagon_optimum(d: ConvexDisc):
     n = len(V)
     E = np.roll(V, -1, axis=0) - V
     T = _closing_multisets(d)
-    if np.abs(V[n // 2:] + V[:n // 2]).max() <= _SYMMETRY_EXACT * d.diameter:
+    if d.symmetry_defect <= _SYMMETRY_EXACT * d.diameter:
         T = T[_reflection_canonical(T, n)]
     ub = _area_bound(V, E, T)
     order = np.argsort(-ub, kind="stable")
@@ -720,10 +720,7 @@ def make_theorem_hexagon(d0p: float) -> ConvexDisc:
     length 2w, so the side:diagonal ratio is w.  At d0p = 1 the hexagon
     degenerates to the square [-1,1]^2 (the collinear vertices merge).
     """
-    d0p = float(d0p)
-    if not (0.75 - 1e-12 <= d0p <= 1.0 + 1e-12):
-        raise BoundsRangeError(f"d0p {d0p} outside [3/4, 1]")
-    w = hexagon_w(d0p)
+    w = hexagon_w(_check_d0p(d0p))
     return ConvexDisc(
         [(1.0, 0.0), (w, 1.0), (-w, 1.0), (-1.0, 0.0), (-w, -1.0), (w, -1.0)]
     )

@@ -130,6 +130,19 @@ def _facet_normals(v: np.ndarray) -> np.ndarray:
     return np.column_stack([nx, ny])
 
 
+def _symmetry(v: np.ndarray) -> tuple[float, float, str | None]:
+    """(diameter, pairing defect max |v[i + m] + v[i]|, problem) of a normalized
+    ring; the problem is None when the pairing holds within 1e-9 * diameter."""
+    n = len(v)
+    diam = 2.0 * float(np.linalg.norm(v, axis=1).max())
+    if n % 2:
+        return diam, float("inf"), f"odd vertex count {n} cannot be centrally symmetric"
+    defect = float(np.abs(v[n // 2:] + v[:n // 2]).max())
+    tol = 1e-9 * diam
+    return diam, defect, (f"vertex pairing defect {defect:.3g} exceeds tolerance {tol:.3g}"
+                          if defect > tol else None)
+
+
 class ConvexDisc:
     """Centrally symmetric convex polygon acting as the unit ball of a norm.
 
@@ -141,18 +154,13 @@ class ConvexDisc:
 
     def __init__(self, vertices):
         v = _normalize_ring(_vertex_array(vertices))
-        n = len(v)
-        if n % 2:
-            raise GeometryError(f"centrally symmetric disc needs an even vertex count, got {n}")
-        m = n // 2
-        diam = 2.0 * float(np.linalg.norm(v, axis=1).max())
-        defect = float(np.abs(v[m:] + v[:m]).max())
-        if defect > 1e-9 * diam:
-            raise GeometryError(
-                f"vertices are not centrally symmetric about the origin (defect {defect:.3g})")
+        diam, defect, problem = _symmetry(v)
+        if problem:
+            raise GeometryError(problem)
         self.vertices = v
         self.vertices.setflags(write=False)
         self.diameter = diam
+        self.symmetry_defect = defect
         self.area = signed_area(v)
         self.normals = _facet_normals(v)
         seg = np.roll(v, -1, axis=0) - v
@@ -251,19 +259,10 @@ def validate_disc(p) -> dict:
     report["vertices_after_merge"] = len(ring)
     report["area"] = signed_area(ring)
     report["parallelogram"] = len(ring) == 4
-    n = len(ring)
-    if n % 2:
-        report["problems"].append(f"odd vertex count {n} cannot be centrally symmetric")
-        return report
-    m = n // 2
-    diam = 2.0 * float(np.linalg.norm(ring, axis=1).max())
-    defect = float(np.abs(ring[m:] + ring[:m]).max())
-    report["symmetry_defect"] = defect
-    if defect <= 1e-9 * diam:
-        report["symmetric"] = True
-    else:
-        report["problems"].append(
-            f"vertex pairing defect {defect:.3g} exceeds tolerance {1e-9 * diam:.3g}")
+    _, report["symmetry_defect"], problem = _symmetry(ring)
+    report["symmetric"] = problem is None
+    if problem:
+        report["problems"].append(problem)
     return report
 
 

@@ -56,6 +56,9 @@ TOUCH_REL = 1e-7
 TOUCH_EPS = 2.0 * TOUCH_REL
 # ceiling on the (2 extent + 1)^2 lattice points a generator may be asked for
 MAX_LATTICE_POINTS = 1 << 22
+# ceiling on a mixed packing's strip width: a strip pattern of that many rows
+# or columns already spans the widest window the lattice ceiling allows
+MAX_STRIP_WIDTH = 1 << 11
 
 
 class PackingInvalidError(ValueError):
@@ -130,13 +133,9 @@ def _close_pairs(points: np.ndarray, cutoff: float) -> np.ndarray:
     return cKDTree(points).query_pairs(cutoff, output_type="ndarray")
 
 
-def _outer_radius(d: ConvexDisc) -> float:
-    return float(np.sqrt((d.vertices**2).sum(axis=1)).max())
-
-
 def _contact_cutoff(d: ConvexDisc) -> float:
     """Euclidean reach of a touch: gauge <= 2 + touch eps, and |v| <= gauge(v) R_out."""
-    return (2.0 + TOUCH_EPS) * _outer_radius(d)
+    return (2.0 + TOUCH_EPS) * 0.5 * d.diameter
 
 
 def _contacts(p: Packing):
@@ -537,8 +536,8 @@ def mixed_strip_packing(
     f = float(fractionA)
     if not (0.0 <= f <= 1.0):
         raise BoundsRangeError(f"fractionA {f} outside [0, 1]")
-    if strip_width < 1:
-        raise BoundsRangeError(f"strip_width {strip_width} must be >= 1")
+    if not 1 <= strip_width <= MAX_STRIP_WIDTH:
+        raise BoundsRangeError(f"strip_width {strip_width} outside [1, {MAX_STRIP_WIDTH}]")
     _check_extent(extent)
     if packA == packB or f >= 1.0 - 1e-9:
         return _PURE[packA](d, extent=max(extent // 2, 8))
@@ -578,6 +577,8 @@ def mixed_strip_packing(
         centers = _columns_four_honey(w, f_four, strip_width, extent)
     else:  # pragma: no cover
         raise PackingInvalidError("unsupported generator pair")
+    if len(centers) == 0:
+        raise BoundsRangeError(f"extent {extent} holds no center of the {packA}+{packB} strips")
 
     mapped = centers @ M.T
     scale = 1.0
@@ -661,11 +662,12 @@ def _touch_crossing_reach(p: Packing) -> float:
     so s + t >= (2 - eps)/(2 + eps) >= 1 - eps and s, t >= 1/2 - eps.  Each
     midpoint is then within gauge distance (1/2 - s)(2 + eps) <= eps (2 + eps)
     of x, so the midpoints are within gauge distance 2 eps (2 + eps) of each
-    other: Euclidean distance (4 eps + 2 eps^2) R_out, where R_out is the
-    largest vertex norm of the disc.  The reach is twice that, as a margin.
+    other: Euclidean distance (4 eps + 2 eps^2) R_out, where R_out, the
+    largest vertex norm, is half the disc's diameter.  The reach is twice
+    that, as a margin: (4 eps + 2 eps^2) times the diameter.
     """
     eps = p.touch_eps
-    return 2.0 * (4.0 * eps + 2.0 * eps * eps) * _outer_radius(p.disc)
+    return (4.0 * eps + 2.0 * eps * eps) * p.disc.diameter
 
 
 def _face_cycles(nxt: np.ndarray):
@@ -789,8 +791,8 @@ def check_proposition(s: Subdivision):
 def measure_stats(p: Packing, R: float) -> PackingStats:
     """Window statistics around the centroid of the generated centers."""
     R = float(R)
-    if not R > 0.0:
-        raise BoundsRangeError(f"window radius {R} must be positive")
+    if not (R > 0.0 and np.pi * R * R > 0.0):
+        raise BoundsRangeError(f"window radius {R} must be positive, with a window area above 0")
     centers = p.centers
     c0 = centers.mean(axis=0)
     rad = np.hypot(*(centers - c0).T)

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minkpack.cli import main
@@ -275,6 +275,48 @@ def test_pack_rejects_out_of_range_sizes(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+def test_pack_refuses_a_huge_strip_width_before_building(capsys, monkeypatch, tmp_path):
+    from minkpack import packing
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the strips were built")
+
+    monkeypatch.setattr(packing, "_chains_six_four", fail)
+    hex_path = str(tmp_path / "hex.json")
+    assert run(capsys, "hexagon", "--d0p", "0.8", "--out", hex_path)[0] == 0
+    out = tmp_path / "p.json"
+    code, _, err = run(capsys, "pack", "--disc", hex_path, "--generator", "mixed:six+four",
+                       "--strip-width", "1000000000", "--out", str(out))
+    assert code == 4
+    assert "strip_width 1000000000" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("generator", ["mixed:six+honeycomb", "mixed:honeycomb+six"])
+def test_pack_names_an_extent_that_holds_no_center(capsys, tmp_path, generator):
+    # at extent 0 the window |x|, |y| <= 0 misses every strip phase of this pair
+    hex_path = str(tmp_path / "hex.json")
+    assert run(capsys, "hexagon", "--d0p", "0.8", "--out", hex_path)[0] == 0
+    out = tmp_path / "p.json"
+    code, _, err = run(capsys, "pack", "--disc", hex_path, "--generator", generator,
+                       "--extent", "0", "--out", str(out))
+    assert code == 4
+    assert err.startswith("error:") and "extent 0" in err
+    assert not out.exists()
+
+
+def test_analyze_rejects_a_window_whose_area_underflows(capsys, tmp_path, square):
+    # the middle center sits on the centroid, so the window holds a center
+    # and pi R^2 == 0 would divide the density by zero
+    packfile = tmp_path / "row.json"
+    row = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+    save_packing(Packing(disc=square, centers=row), str(packfile))
+    code, out, err = run(capsys, "analyze", str(packfile), "--radius", "1e-300")
+    assert code == 4
+    assert err.startswith("error:") and "1e-300" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "--lambda", "abc", "--d0p", "0.8"],
     ["bound", "--lambda", "5", "--d0p", "abc"],
@@ -333,12 +375,24 @@ def test_out_is_required_before_any_work(capsys, monkeypatch, tmp_path, square_f
     assert "--out" in capsys.readouterr().err
 
 
-def test_tol_is_a_profile_option(capsys, square_file):
-    assert run(capsys, "profile", "--disc", square_file, "--tol", "1e-3")[0] == 0
+@pytest.mark.parametrize("cmd", ["profile", "bound", "sweep", "hexagon", "pack", "analyze", "render"])
+def test_no_subcommand_takes_a_tolerance(capsys, tmp_path, square_file, cmd):
+    # the profile's chain slacks are judged relative to the disc's area, so
+    # no subcommand has a --tol knob
+    argv = {
+        "profile": ["--disc", square_file],
+        "bound": ["--lambda", "5", "--d0p", "0.8"],
+        "sweep": ["--lambda", "5"],
+        "hexagon": ["--d0p", "0.8", "--out", str(tmp_path / "h.json")],
+        "pack": ["--disc", square_file, "--extent", "2", "--out", str(tmp_path / "p.json")],
+        "analyze": [str(tmp_path / "p.json"), "--radius", "1"],
+        "render": [str(tmp_path / "p.json"), "--out", str(tmp_path / "p.svg")],
+    }[cmd]
     with pytest.raises(SystemExit) as exc:
-        main(["bound", "--lambda", "5", "--d0p", "0.8", "--tol", "1e-3"])
+        main([cmd, *argv, "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+    assert not list(tmp_path.glob("[hp].*"))
 
 
 @pytest.mark.parametrize("cmd", ["profile", "bound", "sweep", "hexagon", "pack", "analyze", "render"])
@@ -547,3 +601,69 @@ def test_golden_output(capsys, tmp_path, name):
     argv = _golden_argv(name, tmp_path, capsys)
     code, out, _ = run(capsys, *argv)
     assert (code, out) == _GOLDEN[name]
+
+
+# --- argument fuzz ----------------------------------------------------------
+
+def _assert_typed_exit(argv):
+    """Exit code of one CLI run, which must be 0, 2, 3 or 4 (an argparse usage
+    error exits 2) and never a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # best-effort strip frames of the random disc
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    return code
+
+
+# numbers as the CLI reads them: in range for lambda, d0p or a small window,
+# out of range, NaN and inf, overflow and underflow, and words
+_NUMBER_TEXT = st.one_of(
+    st.floats(0.0, 6.0).map(repr),
+    st.sampled_from(["3", "4.5", "6", "0.75", "0.875", "1", "0.5", "2"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "abc", "1e400", "-1e-400", "1e-300", "0x10", "5,", "3:6", "-2"]),
+)
+_GENERATORS = ["six", "four", "honeycomb", "mixed:six", "mixed:six+six", "bogus"] + [
+    f"mixed:{a}+{b}" for a in ("six", "four", "honeycomb") for b in ("six", "four", "honeycomb") if a != b]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["bound", "sweep", "hexagon"]), _NUMBER_TEXT, _NUMBER_TEXT,
+       st.sampled_from([None, 0, 1, 13, 10**9, -2]), st.booleans())
+def test_bound_sweep_hexagon_fuzz_exit_with_a_code(cmd, lam, d0p, count, with_d0p):
+    if cmd == "sweep" and count is not None:
+        lam = f"{lam}:{d0p}:{count}"
+    argv = {
+        "bound": [f"--lambda={lam}", f"--d0p={d0p}"],
+        "sweep": [f"--lambda={lam}"] + ([f"--d0p={d0p}"] if with_d0p else []),
+        "hexagon": [f"--d0p={d0p}"],
+    }[cmd]
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_typed_exit([cmd, *argv, "--out", os.path.join(tmp, "out")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(_GOLDEN_DISCS)), st.sampled_from(_GENERATORS),
+       st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.5, 1.0, math.nan])),
+       st.one_of(st.integers(-2, 40), st.sampled_from([2048, 2049, 10**9])),
+       st.one_of(st.integers(-2, 6), st.just(10**7)),
+       st.lists(_NUMBER_TEXT, min_size=0, max_size=3))
+@example("hex80", "mixed:six+honeycomb", 0.5, 16, 0, ["1"])
+@example("hex80", "mixed:six+four", 0.5, 10**9, 3, ["1"])
+@example("hex80", "six", 0.5, 16, 3, ["1e-300"])
+def test_pack_analyze_fuzz_exit_with_a_code(disc, generator, fraction, strip_width, extent, radii):
+    with tempfile.TemporaryDirectory() as tmp:
+        disc_path, pack_path = os.path.join(tmp, "disc.json"), os.path.join(tmp, "pack.json")
+        save_disc(_GOLDEN_DISCS[disc](), disc_path)
+        code = _assert_typed_exit([
+            "pack", "--disc", disc_path, f"--generator={generator}", f"--fraction={fraction!r}",
+            f"--strip-width={strip_width}", f"--extent={extent}", "--out", pack_path])
+        assert (code == 0) == os.path.exists(pack_path)
+        if code == 0:
+            _assert_typed_exit(["analyze", pack_path, f"--radius={','.join(radii)}"])

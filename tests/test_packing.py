@@ -614,6 +614,14 @@ def test_measure_stats_window_guard_is_scale_free():
         measure_stats(p, p.generator["covered_radius"])
 
 
+@pytest.mark.parametrize("R", [1e-300, 1e-170, 0.0, -1.0, float("nan")])
+def test_measure_stats_rejects_a_window_without_area(hexagon_78, R):
+    # pi R^2 underflows to 0 below R ~ 1e-162: the density would divide by 0
+    p = six_neighbour_lattice(hexagon_78, extent=2)
+    with pytest.raises(BoundsRangeError, match="window radius"):
+        measure_stats(p, R)
+
+
 def test_density_approaches_cell_density(hexagon_78):
     p = six_neighbour_lattice(hexagon_78, extent=40)
     R = p.generator["covered_radius"]

@@ -1,21 +1,32 @@
 """Metamorphic scale tests: x -> Tx multiplies every extremal area by |det T|
 and leaves d0p, the optimizer candidate counts, the packings' graphs,
-faces and window statistics unchanged."""
+faces and window statistics unchanged.  Every check minkpack makes on a
+disc (the profile's exit code, the concave envelope, the flip procedure)
+gives the same answer at every scale."""
 
+import contextlib
+import io
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from minkpack.bounds import density_bound_from_profile
+from minkpack.cli import main
 from minkpack.extremal import (
+    UnitSidedPolygon,
+    convexify_flips,
     make_theorem_hexagon,
     max_hexagon_candidates,
     max_parallelogram_candidates,
     max_pentagon_candidates,
+    max_triangle_area,
     max_triangle_candidates,
     profile,
+    sorted_sides_area,
 )
-from minkpack.geometry import ConvexDisc
+from minkpack.geometry import ConvexDisc, cross_many, save_disc
 from minkpack.packing import (
     build_subdivision,
     measure_stats,
@@ -24,7 +35,7 @@ from minkpack.packing import (
     six_neighbour_lattice,
     three_neighbour_honeycomb,
 )
-from minkpack.random_shapes import random_discs, random_linear
+from minkpack.random_shapes import random_disc, random_discs, random_linear, random_unit_polygon
 
 _CANDIDATES = (max_triangle_candidates, max_parallelogram_candidates,
                max_pentagon_candidates, max_hexagon_candidates)
@@ -76,3 +87,41 @@ def test_packings_follow_scaling(kind):
         assert counts == want, s
         assert scaled == pytest.approx(stats, rel=1e-9), s
         np.testing.assert_allclose(p.centers, s * unit.centers, rtol=0.0, atol=1e-9 * s)
+
+
+@pytest.mark.parametrize("s", [1e5, 1e6])
+def test_profile_accepts_large_discs(tmp_path, s):
+    path = str(tmp_path / "disc.json")
+    for i, d in enumerate(random_discs(20260822, 40)):
+        save_disc(ConvexDisc(s * d.vertices), path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["profile", "--disc", path]) == 0, (i, out.getvalue())
+
+
+def test_density_bound_does_not_depend_on_scale():
+    lams = np.linspace(3.0, 6.0, 31)
+    for d in random_discs(20260822, 40):
+        delta = max_triangle_area(d)
+        unit = [density_bound_from_profile(SimpleNamespace(area=d.area, delta=delta), lam)
+                for lam in lams]
+        for s in (1e-9, 1e-6, 1e-3, 1e3, 1e6):
+            e = ConvexDisc(s * d.vertices)
+            prof = SimpleNamespace(area=e.area, delta=max_triangle_area(e))
+            got = [density_bound_from_profile(prof, lam) for lam in lams]
+            assert got == pytest.approx(unit, rel=1e-9), s
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-6])
+def test_flipped_polygons_are_convex_at_small_scales(s):
+    rng = np.random.default_rng(20260822)
+    for _ in range(30):
+        d = random_disc(rng)
+        p = random_unit_polygon(d, int(rng.integers(4, 9)), rng)
+        small = UnitSidedPolygon(vertices=s * p.vertices, disc=ConvexDisc(s * d.vertices))
+        q = convexify_flips(small)
+        sides = q.sides
+        turns = cross_many(sides, np.roll(sides, -1, axis=0))
+        tol = 1e-9 * float((sides**2).sum(axis=1).max())
+        assert np.all(turns >= -tol) or np.all(turns <= tol)
+        assert q.area == pytest.approx(sorted_sides_area(small.sides), rel=1e-9)
