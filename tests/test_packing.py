@@ -834,3 +834,66 @@ def test_generator_golden_output(disc, kind):
     digest, generator = _GOLDEN_GENERATORS[disc, kind]
     assert hashlib.sha256(p.centers.tobytes()).hexdigest() == digest
     assert list(p.generator.items()) == list(generator.items())
+
+
+# The mixed strips on a small grid of fractions, strip widths and extents,
+# one sha256 per (disc, ordered pair) over each build's center bytes and
+# generator JSON, or its error text, frozen from the hand-written strip
+# loops before one builder replaced them.  The d0p = 3/4 hexagon is read
+# for six+honeycomb only: its other two pairs are refused there.  The last
+# entry is the benchmark's extent-250 lambda = 5 packing.
+_MIXED_GRID = [(f, w, e) for f in (1.0 / 3.0, 0.5, 0.77) for w in (1, 4, 16) for e in (0, 3, 24)]
+_MIXED_DIGESTS = {
+    ("hex78", "six", "four"): "08d14985c343a2da39bd71153746f7f6278ef773590fcd7de08dbaea3fdee2ea",
+    ("hex78", "four", "six"): "d511675b803d77b479dbc187be5fb518b219a134abbf0707b8d5b8fef85331e4",
+    ("hex78", "six", "honeycomb"): "2bb1e0e4e9df422eec1d961495c058e54c4d6d52c59bdc9497b45e385cb27e55",
+    ("hex78", "honeycomb", "six"): "1c8948ce0da899fe6ea02648e6218f124d11d2befb6a00542f3a3149cc05ee56",
+    ("hex78", "four", "honeycomb"): "8d3f7216319ecbcb483735ddcc286632fe00d60b9b866cd453bd44c5752eb1d1",
+    ("hex78", "honeycomb", "four"): "77434673d3549575cdc2f32f2a3cfcbceeacab58a4a4f7c15acc2e96b1b5bf18",
+    ("square", "six", "four"): "caf954db7b823466c70933659f909565063fe7f6f103f73b92366a3119b2a7b0",
+    ("square", "four", "six"): "3f53cb70340baae1b0b62ea65ee11808672273d40cb77422dc8d625b72a47840",
+    ("square", "six", "honeycomb"): "70395ccfc03b7af36997c970212f38d8afa1541ff6015bc2cdf209be26fa3e11",
+    ("square", "honeycomb", "six"): "70395ccfc03b7af36997c970212f38d8afa1541ff6015bc2cdf209be26fa3e11",
+    ("square", "four", "honeycomb"): "6df7839a5af54b101702b13922e1c14b60577ac5cdbdcbdd7238e5f318820738",
+    ("square", "honeycomb", "four"): "035736cd38d1c8abf24e2129526dfcf8d13875fb0ff292550527a3e0ded1df60",
+    ("octagon", "six", "four"): "f5d9bbcb1201c64b663ad3ac025a329046c52af387477c2139d518d3d67a5851",
+    ("octagon", "four", "six"): "e4d7bea036aff64248a31654693b298bcf4acb9092b6ca3cf4a799382c00e946",
+    ("octagon", "six", "honeycomb"): "8e4f1ac90f9cc9d44fe6de5d0097cd9d68ce91fe4dec38dd8cfad718a28d48db",
+    ("octagon", "honeycomb", "six"): "e7d6ef1eb87eb46b116840a983682b8ebb78e323847a23212e7fd885dca620b0",
+    ("octagon", "four", "honeycomb"): "be976d1f7117c930e105225bef4dd445f4aa661d63162f4feaace3fc764452d1",
+    ("octagon", "honeycomb", "four"): "6521459aa1c8e26177da90ad173966545d28c34aa00ac660b203b6e0f245b0b9",
+    ("rand10", "six", "four"): "fd4e5fe4ab8c0b5f4af91ec833ffef851b3de0f963e3a046f27a3d94ca21effa",
+    ("rand10", "four", "six"): "a0d1c124efdb9206c0b99e61da931d64f863c2dbd968e65dd138c8e40e2c5eab",
+    ("rand10", "six", "honeycomb"): "e08a2a48874cde2b52c76095cb8173b355401f4098edea2faea171df3741cb1f",
+    ("rand10", "honeycomb", "six"): "d61b49208fc72f51aae7e9ef35d0c9828445b041a21fa7eb0e8a60e7b081a4e5",
+    ("rand10", "four", "honeycomb"): "fe668d27d6c9eb6a372a7e54a56baa997a9b5d905fbb05f2d1ed2d61a351c9df",
+    ("rand10", "honeycomb", "four"): "5a13d47d64db67b8f1a8003fb0e9667c7df035a8b91048dced874d170c05eb09",
+    ("hex34", "six", "honeycomb"): "30066ff84b18129b671e99f3b6f37e085ca199eebf805a5675faf7b1990b6c2c",
+    ("hex34", "honeycomb", "six"): "b75993af018faf07091a97540f34965afbbc704faa1c28d39dd4b6f3601948d6",
+}
+_MIXED_BENCH_DIGEST = "85f2f5ac1631b3a0e758205f1048d931ba3aa457684094d1069476f695dfd23d"
+
+
+def _mixed_digest(d, a, b, grid):
+    h = hashlib.sha256()
+    for frac, width, extent in grid:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # best-effort strip frames
+                p = mixed_strip_packing(d, a, b, frac, strip_width=width, extent=extent)
+        except (GeometryError, PackingInvalidError, BoundsRangeError) as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+        else:
+            h.update(p.centers.tobytes())
+            h.update(json.dumps(p.generator).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("disc,a,b", list(_MIXED_DIGESTS))
+def test_mixed_golden_digests(disc, a, b):
+    assert _mixed_digest(_GOLDEN_DISCS[disc](), a, b, _MIXED_GRID) == _MIXED_DIGESTS[disc, a, b]
+
+
+def test_mixed_golden_bench_packing():
+    d = _GOLDEN_DISCS["hex34"]()
+    assert _mixed_digest(d, "six", "honeycomb", [(2.0 / 3.0, 4, 250)]) == _MIXED_BENCH_DIGEST
