@@ -16,7 +16,13 @@ from which validate_packing and neighbour_graph both read (a valid
 packing's graph is cached by the validation itself).  The six-, four-
 and three-neighbour packings are built and scored by one builder,
 _lattice, and the best-effort strip frame takes d0p and w from
-extremal.d0p_of and extremal.hexagon_w.  The subdivision always covers
+extremal.d0p_of and extremal.hexagon_w.  The four mixed-strip layouts
+(six+four chains, their square-frame columns, six+honeycomb rows and
+four+honeycomb columns) each spell a cyclic word of lines, one letter
+(gap, phase shift, step, motif) per line, and one numpy builder, _strips,
+reads every word: running sums place the lines and one broadcast places
+their centers.  Four-neighbour strips are refused at w = 1/2, where their
+4w gap is a touch.  The subdivision always covers
 the whole packing.  It labels its faces as the cycles of the half-edge
 successor permutation in one doubling pass (_face_cycles) and gets every
 per-face value from whole-array reductions, including each face's largest
@@ -374,29 +380,49 @@ def _blocks(frac: float, unit_a: int, unit_b: int):
     return max(a // g, 0), max(b // g, 0), q
 
 
+def _strips(word, first: int, u0: float, u_end: float, box, shear: float = 0.0):
+    """Centers (u + shear v, v) of the lines a cyclic word spells, inside box.
+
+    Each letter (gap, shift, step, motif) is one line: the next line lies
+    gap further along u, with its phase moved by shift, and this line's
+    centers sit at v = (phase mod step) + step j + m for every integer j
+    and each offset m in motif (each m in [0, step)).  The lines start with
+    letter first at u = u0 with phase 0 and run while u <= u_end; their
+    places and phases are running sums taken one line at a time, as a loop
+    over the lines would take them.  A center
+    is kept when |u + shear v| <= box[0] and |v| <= box[1].  Centers come
+    out line by line, then by motif offset, then by j.
+    """
+    gap, shift, step = (np.array([letter[i] for letter in word], dtype=float) for i in range(3))
+    width = max(len(letter[3]) for letter in word)
+    motif = np.full((len(word), width), np.nan)  # a NaN offset fails the box
+    for i, letter in enumerate(word):
+        motif[i, :len(letter[3])] = letter[3]
+    periods = int(np.ceil((u_end - u0) / gap.sum())) + 1
+    idx = (first + np.arange(periods * len(word) + 1)) % len(word)
+    u = np.cumsum(np.concatenate([[u0], gap[idx[:-1]]]))
+    phase = np.cumsum(np.concatenate([[0.0], shift[idx[:-1]]]))
+    bu, bv = box
+    line = (u <= u_end) & (np.abs(u) <= bu + abs(shear) * bv)
+    idx, u, phase = idx[line], u[line], phase[line]
+    n = int(np.ceil(bv / step.min())) + 2
+    j = np.arange(-n, n + 1, dtype=float)
+    v = (np.mod(phase, step[idx])[:, None, None] + step[idx][:, None, None] * j) + motif[idx][:, :, None]
+    x = u[:, None, None] + shear * v
+    keep = (np.abs(x) <= bu) & (np.abs(v) <= bv)
+    return np.stack([x[keep], v[keep]], axis=1)
+
+
 def _chains_six_four(w: float, f_six: float, strip_width: int, extent: int):
     """Chains along (-2w, 2) with cyclic x-gaps: 2 in six strips, 4w in four strips."""
     m6, m4, q = _blocks(f_six, 1, 1)
     s = max(1, round(strip_width / max(q, 1)))
-    gaps = [2.0] * (m6 * s) + [4.0 * w] * (m4 * s)
-    period = sum(gaps)
+    word = [(2.0, 0.0, 2.0, (0.0,))] * (m6 * s) + [(4.0 * w, 0.0, 2.0, (0.0,))] * (m4 * s)
+    period = sum(letter[0] for letter in word)
     kmax = int(np.ceil(extent / 2.0)) + 1
     xspan = extent + 2.0 * w * kmax + period
-    xs = []
-    x = -int(np.ceil(xspan / period)) * period
-    gi = 0
-    while x <= xspan:
-        xs.append(x)
-        x += gaps[gi % len(gaps)]
-        gi += 1
-    ks = np.arange(-kmax, kmax + 1)
-    cols = []
-    for x0 in xs:
-        cx = x0 - 2.0 * w * ks
-        keep = np.abs(cx) <= extent + 1e-9
-        if keep.any():
-            cols.append(np.stack([cx[keep], 2.0 * ks[keep]], axis=1))
-    return np.vstack(cols)
+    x0 = -int(np.ceil(xspan / period)) * period
+    return _strips(word, 0, x0, xspan, (extent + 1e-9, 2.0 * kmax), shear=-w)
 
 
 def _columns_six_four_square(f_six: float, strip_width: int, extent: int):
@@ -416,72 +442,32 @@ def _columns_six_four_square(f_six: float, strip_width: int, extent: int):
     s = max(1, round(strip_width / (D + S)))
     if s % 2 == 0:
         s += 1
-    D *= s
-    S *= s
-    pattern = []
-    for r in range(D):
-        pattern.append(("dense", r % 2))
-    for r in range(S):
-        pattern.append(("sparse", 2 * (r % 2)))
+    word = ([(2.0, 0.0, 2.0, (float(r % 2),)) for r in range(D * s)]
+            + [(2.0, 0.0, 4.0, (2.0 * (r % 2),)) for r in range(S * s)])
     ncols = int(np.ceil(extent / 2.0)) + 1
-    cols = []
-    ys2 = np.arange(-(extent // 2) - 2, extent // 2 + 3) * 2.0
-    ys4 = np.arange(-(extent // 4) - 2, extent // 4 + 3) * 4.0
-    for c in range(-ncols, ncols + 1):
-        kind, off = pattern[c % len(pattern)]
-        if kind == "dense":
-            ys = ys2 + off
-        else:
-            ys = ys4 + off
-        ys = ys[np.abs(ys) <= extent + 1e-9]
-        cols.append(np.stack([np.full(len(ys), 2.0 * c), ys], axis=1))
-    return np.vstack(cols)
+    return _strips(word, -ncols % len(word), -2.0 * ncols, 2.0 * ncols,
+                   (2.0 * ncols, extent + 1e-9))
 
 
-def _rows_six_honey(w: float, f_six_rows: Fraction, strip_width: int, extent: int):
+def _rows_six_honey(w: float, f_six: float, strip_width: int, extent: int):
     """Rows at y = 2r: six rows are x-grids of step 2 drifting by -2w per row,
     honeycomb rows are dimers {psi, psi+2} with x-period 2P, P = 2 + 2w,
     drifting by +P.  Strip seams start the new phase at +1, the
     maximal-contact alignment (at w = 1/2 each honeycomb point then touches
     two six-row points, which is what makes the mix exact there)."""
-    p, q = f_six_rows.numerator, f_six_rows.denominator
-    a = 2 * p
-    b = 3 * (q - p)
-    g = np.gcd(a, b) if a and b else 1
-    m6, mh = a // g, b // g
+    m6, mh, _ = _blocks(f_six, 2, 3)
     s = max(1, round(strip_width / max(m6 + mh, 1)))
-    m6 *= s
-    mh *= s
     P = 2.0 + 2.0 * w
-    pattern = ["six"] * m6 + ["honey"] * mh
+    kinds = ["six"] * (m6 * s) + ["honey"] * (mh * s)
+    word = []
+    for kind, nxt in zip(kinds, kinds[1:] + kinds[:1]):
+        shift = 1.0 if nxt != kind else (-2.0 * w if kind == "six" else P)
+        word.append((2.0, shift, 2.0, (0.0,)) if kind == "six" else (2.0, shift, 2.0 * P, (0.0, 2.0)))
     nrows = int(np.ceil(extent / 2.0)) + 1
-    rows = []
-    # phase bookkeeping must walk rows in order; start far below the window
-    r0 = -nrows - len(pattern)
-    phase = 0.0
-    prev = pattern[(r0 - 1) % len(pattern)]
-    for r in range(r0, nrows + 1):
-        kind = pattern[r % len(pattern)]
-        if kind != prev:
-            phase = phase + 1.0
-        elif kind == "six":
-            phase = phase - 2.0 * w
-        else:
-            phase = phase + P
-        prev = kind
-        if abs(2.0 * r) > extent + 1e-9:
-            continue
-        if kind == "six":
-            pm = phase % 2.0
-            xs = pm + 2.0 * np.arange(-np.ceil((extent + 2.0) / 2.0), np.ceil((extent + 2.0) / 2.0) + 1)
-        else:
-            pm = phase % (2.0 * P)
-            n = int(np.ceil((extent + 4.0 * P) / (2.0 * P)))
-            starts = pm + 2.0 * P * np.arange(-n, n + 1)
-            xs = np.concatenate([starts, starts + 2.0])
-        xs = xs[np.abs(xs) <= extent + 1e-9]
-        rows.append(np.stack([xs, np.full(len(xs), 2.0 * r)], axis=1))
-    return np.vstack(rows)
+    # the phase is a running sum: start at phase 0 on a row far below the window
+    r0 = -nrows - len(word) - 1
+    rows = _strips(word, r0 % len(word), 2.0 * r0, 2.0 * nrows, (extent + 1e-9, extent + 1e-9))
+    return rows[:, ::-1]  # u is y here
 
 
 def _columns_four_honey(w: float, f_four: float, strip_width: int, extent: int):
@@ -491,24 +477,11 @@ def _columns_four_honey(w: float, f_four: float, strip_width: int, extent: int):
     is the honeycomb edge)."""
     a, b, q = _blocks(f_four, 2, 1)
     s = max(1, round(strip_width / max(q, 1)))
-    a *= s
-    b *= s
-    gaps = [(2.0 * w, 2.0)] * a + [(2.0, 0.0), (2.0 * w, 2.0)] * b
-    period = sum(gp for gp, _ in gaps)
-    x = -np.ceil((extent + period) / period) * period
-    phase = 0.0
-    cols = []
-    gi = 0
-    while x <= extent + period:
-        if abs(x) <= extent + 1e-9:
-            ys = phase + 4.0 * np.arange(-(extent // 4) - 2, extent // 4 + 3)
-            ys = ys[np.abs(ys) <= extent + 1e-9]
-            cols.append(np.stack([np.full(len(ys), x), ys], axis=1))
-        gp, dphase = gaps[gi % len(gaps)]
-        x += gp
-        phase = (phase + dphase) % 4.0
-        gi += 1
-    return np.vstack(cols)
+    word = ([(2.0 * w, 2.0, 4.0, (0.0,))] * (a * s)
+            + [(2.0, 0.0, 4.0, (0.0,)), (2.0 * w, 2.0, 4.0, (0.0,))] * (b * s))
+    period = sum(letter[0] for letter in word)
+    x0 = -np.ceil((extent + period) / period) * period
+    return _strips(word, 0, x0, extent + period, (extent + 1e-9, extent + 1e-9))
 
 
 _PURE = {"six": six_neighbour_lattice, "four": four_neighbour_lattice, "honeycomb": three_neighbour_honeycomb}
@@ -528,7 +501,10 @@ def mixed_strip_packing(
     measured mean degree tends to fractionA*lambda_A + (1-fractionA)*lambda_B.
     The construction lives in the canonical hexagon frame and is mapped to
     the given disc; a non-hexagon disc gets a warning and a best-effort
-    frame.
+    frame.  Two pairs are refused with PackingInvalidError where their
+    mean degree would come out wrong: six+honeycomb in a square frame
+    (w = 1), and any pair with four strips at w = 1/2 (d0p = 3/4), where a
+    four strip's centers 4w apart touch and the strip is six-neighbour.
     """
     for g in (packA, packB):
         if g not in _PURE:
@@ -555,28 +531,30 @@ def mixed_strip_packing(
     else:
         M, w = frame
 
-    pair = {packA, packB}
     lam = {"six": 6.0, "four": 4.0, "honeycomb": 3.0}
+    pair = {packA, packB}
+    # the first strip kind of a pair is the one with more neighbours
+    f_first = f if lam[packA] > lam[packB] else 1.0 - f
+    square = w >= 1.0 - 1e-9
+    if pair == {"six", "honeycomb"} and square:
+        raise PackingInvalidError(
+            "six-neighbour and honeycomb strips have incompatible row spacings "
+            "on the degenerate (square) hexagon"
+        )
+    if "four" in pair and 4.0 * w <= 2.0 + TOUCH_EPS:
+        raise PackingInvalidError(
+            f"four-neighbour strips touch across their 4w = {4.0 * w:.9g} gap, so at "
+            "w = 1/2 they are six-neighbour strips"
+        )
     if pair == {"six", "four"}:
-        f_six = f if packA == "six" else 1.0 - f
-        if w >= 1.0 - 1e-9:
-            centers = _columns_six_four_square(f_six, strip_width, extent)
+        if square:
+            centers = _columns_six_four_square(f_first, strip_width, extent)
         else:
-            centers = _chains_six_four(w, f_six, strip_width, extent)
-    elif pair == {"six", "honeycomb"}:
-        if w >= 1.0 - 1e-9:
-            raise PackingInvalidError(
-                "six-neighbour and honeycomb strips have incompatible row spacings "
-                "on the degenerate (square) hexagon"
-            )
-        f_six = f if packA == "six" else 1.0 - f
-        fr = Fraction(f_six).limit_denominator(24)
-        centers = _rows_six_honey(w, fr, strip_width, extent)
-    elif pair == {"four", "honeycomb"}:
-        f_four = f if packA == "four" else 1.0 - f
-        centers = _columns_four_honey(w, f_four, strip_width, extent)
-    else:  # pragma: no cover
-        raise PackingInvalidError("unsupported generator pair")
+            centers = _chains_six_four(w, f_first, strip_width, extent)
+    elif "six" in pair:
+        centers = _rows_six_honey(w, f_first, strip_width, extent)
+    else:
+        centers = _columns_four_honey(w, f_first, strip_width, extent)
     if len(centers) == 0:
         raise BoundsRangeError(f"extent {extent} holds no center of the {packA}+{packB} strips")
 

@@ -305,6 +305,18 @@ def test_pack_names_an_extent_that_holds_no_center(capsys, tmp_path, generator):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("generator", ["mixed:six+four", "mixed:honeycomb+four"])
+def test_pack_refuses_four_strips_at_d0p_three_quarters(capsys, tmp_path, generator):
+    hex_path = str(tmp_path / "hex.json")
+    assert run(capsys, "hexagon", "--d0p", "0.75", "--out", hex_path)[0] == 0
+    out = tmp_path / "p.json"
+    code, _, err = run(capsys, "pack", "--disc", hex_path, "--generator", generator,
+                       "--fraction", "0.5", "--extent", "24", "--out", str(out))
+    assert code == 3
+    assert err.startswith("error:") and "4w = 2 " in err
+    assert not out.exists()
+
+
 def test_analyze_rejects_a_window_whose_area_underflows(capsys, tmp_path, square):
     # the middle center sits on the centroid, so the window holds a center
     # and pi R^2 == 0 would divide the density by zero

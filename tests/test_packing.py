@@ -580,6 +580,15 @@ def test_mixed_incompatible_pair_on_square(square):
         mixed_strip_packing(square, "six", "honeycomb", 0.5)
 
 
+@pytest.mark.parametrize("a, b", [("six", "four"), ("four", "six"), ("four", "honeycomb"),
+                                  ("honeycomb", "four")])
+def test_mixed_four_strips_refused_at_w_half(hexagon_34, a, b):
+    # a four strip holds centers 4w = 2 apart: at w = 1/2 they touch, the four
+    # strips are six-neighbour and the mean degree misses target_lambda
+    with pytest.raises(PackingInvalidError, match="4w = 2 "):
+        mixed_strip_packing(hexagon_34, a, b, 0.5, strip_width=4, extent=24)
+
+
 def test_mixed_bad_arguments(hexagon_78):
     with pytest.raises(GeometryError):
         mixed_strip_packing(hexagon_78, "six", "pentagonal", 0.5)
