@@ -235,21 +235,24 @@ def cmd_analyze(args) -> int:
 def cmd_render(args) -> int:
     p = load_packing(args.packing)
     g = neighbour_graph(p)
-    c = p.centers
-    V = p.disc.vertices
-    lo = c.min(axis=0) - 3.0
-    hi = c.max(axis=0) + 3.0
-    wbox, hbox = hi - lo
+    # drawn in disc diameters from the centers' lower corner, so that the
+    # drawing does not change with the packing's scale
+    diam = p.disc.diameter
+    c = (p.centers - p.centers.min(axis=0)) / diam
+    V = p.disc.vertices / diam
+    margin = 1.5
+    hi = c.max(axis=0) + margin
+    wbox, hbox = hi + margin
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{lo[0]:.6f} {-hi[1]:.6f} {wbox:.6f} {hbox:.6f}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{-margin:.6f} {-hi[1]:.6f} {wbox:.6f} {hbox:.6f}" '
         'width="900" height="900">',
-        '<g fill="#cfe0f0" stroke="#3b5a7a" stroke-width="0.03">',
+        '<g fill="#cfe0f0" stroke="#3b5a7a" stroke-width="0.015">',
     ]
     for cx, cy in c:
         pts = " ".join(f"{cx + vx:.6f},{-(cy + vy):.6f}" for vx, vy in V)
         parts.append(f'<polygon points="{pts}" />')
     parts.append("</g>")
-    parts.append('<g stroke="#c0392b" stroke-width="0.05">')
+    parts.append('<g stroke="#c0392b" stroke-width="0.025">')
     for i, j in g.edges:
         parts.append(
             f'<line x1="{c[i,0]:.6f}" y1="{-c[i,1]:.6f}" x2="{c[j,0]:.6f}" y2="{-c[j,1]:.6f}" />'

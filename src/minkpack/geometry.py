@@ -275,26 +275,31 @@ def _orient(a, b, c, eps: float) -> int:
     return 0
 
 
-def _on_segment(a, b, p) -> bool:
-    return (min(a[0], b[0]) - 1e-12 <= p[0] <= max(a[0], b[0]) + 1e-12
-            and min(a[1], b[1]) - 1e-12 <= p[1] <= max(a[1], b[1]) + 1e-12)
+def _on_segment(a, b, p, pad: float) -> bool:
+    return (min(a[0], b[0]) - pad <= p[0] <= max(a[0], b[0]) + pad
+            and min(a[1], b[1]) - pad <= p[1] <= max(a[1], b[1]) + pad)
 
 
-def segments_intersect(a, b, c, d, eps: float = 0.0) -> bool:
-    """True when closed segments ab and cd share a point."""
+def segments_intersect(a, b, c, d, eps: float = 0.0, pad: float = 0.0) -> bool:
+    """True when closed segments ab and cd share a point.
+
+    eps is the orientation tolerance (an area) below which three points
+    count as collinear, and pad the length by which a collinear point may
+    lie outside the other segment's box and still touch it.
+    """
     o1 = _orient(a, b, c, eps)
     o2 = _orient(a, b, d, eps)
     o3 = _orient(c, d, a, eps)
     o4 = _orient(c, d, b, eps)
     if o1 != o2 and o3 != o4:
         return True
-    if o1 == 0 and _on_segment(a, b, c):
+    if o1 == 0 and _on_segment(a, b, c, pad):
         return True
-    if o2 == 0 and _on_segment(a, b, d):
+    if o2 == 0 and _on_segment(a, b, d, pad):
         return True
-    if o3 == 0 and _on_segment(c, d, a):
+    if o3 == 0 and _on_segment(c, d, a, pad):
         return True
-    if o4 == 0 and _on_segment(c, d, b):
+    if o4 == 0 and _on_segment(c, d, b, pad):
         return True
     return False
 
@@ -324,7 +329,7 @@ def is_simple_polygon(p) -> bool:
             if (j == i + 1) or (i == 0 and j == n - 1):
                 continue
             c, d = sides[j]
-            if segments_intersect(a, b, c, d, eps):
+            if segments_intersect(a, b, c, d, eps, 1e-12 * scale):
                 return False
     return True
 

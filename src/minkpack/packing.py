@@ -434,7 +434,11 @@ def _columns_six_four_square(f_six: float, strip_width: int, extent: int):
     # D dense and S sparse columns hold the fraction p/q of the centers when
     # p S = 2 D (q - p); the least D is p / gcd(p, 2 (q - p)), and runs need it odd
     D = p // gcd(p, 2 * (q - p))
-    if D % 2 == 1 and D < 17:
+    if p == q:
+        # the fraction rounds to 1: dense columns only, whose parities must
+        # alternate around the period, so an even run of them
+        D, S = 2, 0
+    elif D % 2 == 1 and D < 17:
         S = 2 * D * (q - p) // p
     else:
         D = 1

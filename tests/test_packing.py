@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -594,6 +596,26 @@ def test_mixed_bad_arguments(hexagon_78):
         mixed_strip_packing(hexagon_78, "six", "pentagonal", 0.5)
     with pytest.raises(BoundsRangeError):
         mixed_strip_packing(hexagon_78, "six", "four", 1.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.76, 1.0), st.permutations(["six", "four", "honeycomb"]).map(lambda k: k[:2]),
+       st.floats(0.02, 0.98, exclude_min=True, exclude_max=True),
+       st.integers(1, 64), st.integers(4, 30))
+# the six fraction rounds to 1 over denominators up to 24: square-frame
+# columns once met with equal parity at the period seam, and crossed
+@example(1.0, ["six", "four"], 0.98, 1, 4)
+@example(1.0, ["four", "six"], 0.02, 16, 30)
+def test_mixed_strips_valid_or_refused(d0p, pair, frac, strip_width, extent):
+    d = make_theorem_hexagon(d0p)
+    try:
+        p = mixed_strip_packing(d, *pair, frac, strip_width=strip_width, extent=extent)
+    except PackingInvalidError as exc:
+        # the designed refusal: six and honeycomb rows in a square frame
+        assert set(pair) == {"six", "honeycomb"} and d.is_parallelogram, str(exc)
+        return
+    assert validate_packing(p)["ok"]
+    build_subdivision(p)  # raises on crossing touch edges
 
 
 def test_mixed_non_hexagon_warns_but_validates():
