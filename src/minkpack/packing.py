@@ -22,12 +22,12 @@ four+honeycomb columns) each spell a cyclic word of lines, one letter
 (gap, phase shift, step, motif) per line, and one numpy builder, _strips,
 reads every word: running sums place the lines and one broadcast places
 their centers.  Four-neighbour strips are refused at w = 1/2, where their
-4w gap is a touch.  The subdivision always covers
-the whole packing.  It labels its faces as the cycles of the half-edge
-successor permutation in one doubling pass (_face_cycles) and gets every
-per-face value from whole-array reductions, including each face's largest
-vertex distance from the centroid (Subdivision.max_radius), by which
-measure_stats picks the faces inside a window.  Its crossing check
+4w gap is a touch.  The subdivision always covers the whole packing.  It
+labels its faces as the cycles of the half-edge successor permutation in
+one doubling pass (_face_cycles) and gets every per-face value from
+whole-array reductions, including each face's largest vertex distance
+from the centroid (Subdivision.max_radius), by which measure_stats picks
+the faces inside a window.  Its crossing check
 searches touch-edge midpoints only out to _touch_crossing_reach, a few
 touch tolerances: in a valid packing two crossing touch edges cannot have
 their midpoints further apart.  scipy serves only the cKDTree pair
@@ -389,15 +389,13 @@ def _strips(word, first: int, u0: float, u_end: float, box, shear: float = 0.0):
     and each offset m in motif (each m in [0, step)).  The lines start with
     letter first at u = u0 with phase 0 and run while u <= u_end; their
     places and phases are running sums taken one line at a time, as a loop
-    over the lines would take them.  A center
-    is kept when |u + shear v| <= box[0] and |v| <= box[1].  Centers come
-    out line by line, then by motif offset, then by j.
+    over the lines would take them.  A center is kept when
+    |u + shear v| <= box[0] and |v| <= box[1].  Centers come out line by
+    line, then by motif offset, then by j.
     """
-    gap, shift, step = (np.array([letter[i] for letter in word], dtype=float) for i in range(3))
-    width = max(len(letter[3]) for letter in word)
-    motif = np.full((len(word), width), np.nan)  # a NaN offset fails the box
-    for i, letter in enumerate(word):
-        motif[i, :len(letter[3])] = letter[3]
+    gap, shift, step = np.array([letter[:3] for letter in word], dtype=float).T
+    width = max(len(m) for *_, m in word)
+    motif = np.array([m + (np.nan,) * (width - len(m)) for *_, m in word])  # NaN fails the box
     periods = int(np.ceil((u_end - u0) / gap.sum())) + 1
     idx = (first + np.arange(periods * len(word) + 1)) % len(word)
     u = np.cumsum(np.concatenate([[u0], gap[idx[:-1]]]))

@@ -13,14 +13,8 @@ from hypothesis import strategies as st
 
 from minkpack.cli import main
 from minkpack.extremal import make_theorem_hexagon
-from minkpack.geometry import ConvexDisc, convex_hull, save_disc
-from minkpack.packing import (
-    Packing,
-    load_packing,
-    neighbour_graph,
-    save_packing,
-    three_neighbour_honeycomb,
-)
+from minkpack.geometry import convex_hull, save_disc
+from minkpack.packing import Packing, load_packing, save_packing
 from minkpack.random_shapes import random_disc
 
 
@@ -213,20 +207,6 @@ def test_render_determinism(capsys, tmp_path):
     run(capsys, "render", packfile, "--out", str(a))
     run(capsys, "render", packfile, "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_render_does_not_depend_on_scale(capsys, tmp_path):
-    # the drawing is in disc diameters, and scaling by a power of two is exact
-    p = three_neighbour_honeycomb(make_theorem_hexagon(0.8), extent=4)
-    small = Packing(disc=ConvexDisc(2.0**-30 * p.disc.vertices), centers=2.0**-30 * p.centers)
-    svgs = []
-    for name, q in (("unit", p), ("small", small)):
-        save_packing(q, str(tmp_path / f"{name}.json"))
-        svg = tmp_path / f"{name}.svg"
-        assert run(capsys, "render", str(tmp_path / f"{name}.json"), "--out", str(svg))[0] == 0
-        svgs.append(svg.read_bytes())
-    assert svgs[0] == svgs[1]
-    assert svgs[0].count(b"<line") == len(neighbour_graph(p).edges) > 0
 
 
 def test_missing_file_is_reported(capsys, tmp_path):

@@ -143,16 +143,6 @@ def test_segments_intersect_cases():
     assert not segments_intersect(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
-@pytest.mark.parametrize("scale", [1e3, 1.0, 1e-3, 1e-6, 1e-9, 1e-12])
-def test_simple_comb_at_every_scale(scale):
-    # two collinear sides 0.001 apart on the bottom edge: simple at any scale
-    comb = np.array([(0, 0), (1, 0), (1, -1), (1.001, -1), (1.001, 0), (2, 0), (2, 1), (0, 1)])
-    assert is_simple_polygon(scale * comb)
-    closed = comb.copy()
-    closed[3:5, 0] = 1.0  # the notch's sides now overlap along x = 1
-    assert not is_simple_polygon(scale * closed)
-
-
 def test_is_parallelogram(square, hexagon_78):
     assert square.is_parallelogram
     assert not hexagon_78.is_parallelogram

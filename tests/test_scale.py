@@ -1,8 +1,9 @@
 """Metamorphic scale tests: x -> Tx multiplies every extremal area by |det T|
 and leaves d0p, the optimizer candidate counts, the packings' graphs,
 faces and window statistics unchanged.  Every check minkpack makes on a
-disc (the profile's exit code, the concave envelope, the flip procedure)
-gives the same answer at every scale."""
+disc (the profile's exit code, the concave envelope, the flip procedure,
+the simple-polygon test) gives the same answer at every scale, and render
+draws the same SVG."""
 
 import contextlib
 import io
@@ -26,12 +27,14 @@ from minkpack.extremal import (
     profile,
     sorted_sides_area,
 )
-from minkpack.geometry import ConvexDisc, cross_many, save_disc
+from minkpack.geometry import ConvexDisc, cross_many, is_simple_polygon, save_disc
 from minkpack.packing import (
+    Packing,
     build_subdivision,
     measure_stats,
     mixed_strip_packing,
     neighbour_graph,
+    save_packing,
     six_neighbour_lattice,
     three_neighbour_honeycomb,
 )
@@ -125,3 +128,28 @@ def test_flipped_polygons_are_convex_at_small_scales(s):
         tol = 1e-9 * float((sides**2).sum(axis=1).max())
         assert np.all(turns >= -tol) or np.all(turns <= tol)
         assert q.area == pytest.approx(sorted_sides_area(small.sides), rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+def test_simple_comb_at_every_scale(scale):
+    # two collinear sides 0.001 apart on the bottom edge: simple at any scale
+    comb = np.array([(0, 0), (1, 0), (1, -1), (1.001, -1), (1.001, 0), (2, 0), (2, 1), (0, 1)])
+    assert is_simple_polygon(scale * comb)
+    folded = comb.copy()
+    folded[3:5, 0] = 0.999  # the notch folds back: the bottom sides overlap
+    assert not is_simple_polygon(scale * folded)
+
+
+def test_render_does_not_depend_on_scale(tmp_path):
+    # the drawing is in disc diameters, and scaling by a power of two is exact
+    p = three_neighbour_honeycomb(make_theorem_hexagon(0.8), extent=4)
+    small = Packing(disc=ConvexDisc(2.0**-30 * p.disc.vertices), centers=2.0**-30 * p.centers)
+    svgs = []
+    for name, q in (("unit", p), ("small", small)):
+        save_packing(q, str(tmp_path / f"{name}.json"))
+        svg = tmp_path / f"{name}.svg"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["render", str(tmp_path / f"{name}.json"), "--out", str(svg)]) == 0
+        svgs.append(svg.read_bytes())
+    assert svgs[0] == svgs[1]
+    assert svgs[0].count(b"<line") == len(neighbour_graph(p).edges) > 0
