@@ -405,7 +405,8 @@ def _strips(word, first: int, u0: float, u_end: float, box, shear: float = 0.0):
     idx, u, phase = idx[line], u[line], phase[line]
     n = int(np.ceil(bv / step.min())) + 2
     j = np.arange(-n, n + 1, dtype=float)
-    v = (np.mod(phase, step[idx])[:, None, None] + step[idx][:, None, None] * j) + motif[idx][:, :, None]
+    st = step[idx][:, None, None]
+    v = (np.mod(phase[:, None, None], st) + st * j) + motif[idx][:, :, None]
     x = u[:, None, None] + shear * v
     keep = (np.abs(x) <= bu) & (np.abs(v) <= bv)
     return np.stack([x[keep], v[keep]], axis=1)
@@ -464,7 +465,8 @@ def _rows_six_honey(w: float, f_six: float, strip_width: int, extent: int):
     word = []
     for kind, nxt in zip(kinds, kinds[1:] + kinds[:1]):
         shift = 1.0 if nxt != kind else (-2.0 * w if kind == "six" else P)
-        word.append((2.0, shift, 2.0, (0.0,)) if kind == "six" else (2.0, shift, 2.0 * P, (0.0, 2.0)))
+        word.append((2.0, shift, 2.0, (0.0,)) if kind == "six"
+                    else (2.0, shift, 2.0 * P, (0.0, 2.0)))
     nrows = int(np.ceil(extent / 2.0)) + 1
     # the phase is a running sum: start at phase 0 on a row far below the window
     r0 = -nrows - len(word) - 1
@@ -505,8 +507,9 @@ def mixed_strip_packing(
     the given disc; a non-hexagon disc gets a warning and a best-effort
     frame.  Two pairs are refused with PackingInvalidError where their
     mean degree would come out wrong: six+honeycomb in a square frame
-    (w = 1), and any pair with four strips at w = 1/2 (d0p = 3/4), where a
-    four strip's centers 4w apart touch and the strip is six-neighbour.
+    (w within TOUCH_EPS / 4 of 1), and any pair with four strips at w = 1/2
+    (d0p = 3/4), where a four strip's centers 4w apart touch and the strip
+    is six-neighbour.
     """
     for g in (packA, packB):
         if g not in _PURE:
@@ -537,7 +540,9 @@ def mixed_strip_packing(
     pair = {packA, packB}
     # the first strip kind of a pair is the one with more neighbours
     f_first = f if lam[packA] > lam[packB] else 1.0 - f
-    square = w >= 1.0 - 1e-9
+    # the w < 1 designs keep (4 - 2w, 2) at gauge 6 - 4w, off the touch
+    # gauge 2 unless w is within TOUCH_EPS / 4 of 1: such frames are square
+    square = 4.0 * (1.0 - w) <= TOUCH_EPS
     if pair == {"six", "honeycomb"} and square:
         raise PackingInvalidError(
             "six-neighbour and honeycomb strips have incompatible row spacings "
